@@ -3,25 +3,31 @@
 //
 // The CI perf gate (tools/check_bench_regression.py against
 // bench/BENCH_kernel_baseline.json) watches BM_Simulator_EventStorm,
-// BM_Simulator_EventStormPayload, BM_Scenario_SingleRun,
-// BM_EventQueue_MacShaped and BM_EventQueue_Sparse at 15%, and
+// BM_Simulator_EventStormPayload, BM_Network_BroadcastFanout,
+// BM_Scenario_SingleRun, BM_EventQueue_MacShaped and BM_EventQueue_Sparse
+// at 15%, and
 // BM_Aggregator_Record / BM_Aggregator_Finalize (filesystem-bound) at a
 // looser 50%; keep their workloads stable.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/aggregate.hpp"
 #include "exp/row_store.hpp"
+#include "geom/aabb.hpp"
+#include "net/channel.hpp"
 #include "net/message.hpp"
+#include "net/network.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "world/deployment.hpp"
 #include "world/paper_setup.hpp"
 #include "world/scenario.hpp"
 #include "world/sweep.hpp"
@@ -177,11 +183,11 @@ void BM_Simulator_EventStorm(benchmark::State& state) {
 BENCHMARK(BM_Simulator_EventStorm)->Arg(10000)->Arg(100000);
 
 void BM_Simulator_EventStormPayload(benchmark::State& state) {
-  // Same chain with a delivery-shaped capture: a net::Message-sized payload
-  // rides in every callback, exactly like Network::broadcast's per-neighbor
-  // closures — the most common event in a protocol run. Captures this size
-  // blow past std::function's inline buffer, so this variant also measures
-  // the allocation the SmallFn slab eliminates.
+  // Same chain with a large capture: a net::Message-sized payload rides in
+  // every callback. Together with the two pointers the capture is 128 B,
+  // beyond SmallFn::kInlineBytes, so every event here pays one heap
+  // allocation — the cost of a closure that outgrows the inline buffer.
+  // BM_Network_BroadcastFanout below measures the real delivery path.
   struct Tick {
     pas::sim::Simulator* sim;
     std::size_t* remaining;
@@ -204,6 +210,46 @@ void BM_Simulator_EventStormPayload(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_Simulator_EventStormPayload)->Arg(10000)->Arg(100000);
+
+void BM_Network_BroadcastFanout(benchmark::State& state) {
+  // The mac-off delivery path the paper campaign spends its time in: the
+  // paper's 30 nodes, uniform over 40 m x 40 m with 10 m radios, each
+  // broadcasting real RESPONSE messages through net::Network — jitter draw,
+  // the in-flight frame slab, one fan-out event per broadcast, and the
+  // per-receiver failed/listening/channel checks before the rx handler.
+  // Every third node is asleep, as in a duty-cycled run.
+  pas::sim::Simulator sim;
+  pas::sim::Pcg32 rng(7, 7);
+  const auto positions = pas::world::uniform_deployment(
+      30, pas::geom::Aabb::square(40.0), rng);
+  pas::net::Network network(sim, positions, pas::net::RadioConfig{},
+                            std::make_shared<pas::net::PerfectChannel>(),
+                            pas::sim::SeedSequence(1));
+  std::uint64_t heard = 0;
+  for (std::uint32_t i = 0; i < network.size(); ++i) {
+    network.set_rx_handler(i, [&heard](const pas::net::Message& m) {
+      heard += m.payload.state;
+    });
+    if (i % 3 == 0) network.set_listening(i, false);
+  }
+  pas::net::Message msg;
+  msg.type = pas::net::MessageType::kResponse;
+  msg.payload.state = 1;
+  msg.payload.velocity_valid = true;
+  constexpr int kRounds = 100;
+  for (auto _ : state) {
+    for (int r = 0; r < kRounds; ++r) {
+      for (std::uint32_t i = 0; i < network.size(); ++i) {
+        network.broadcast(i, msg);
+      }
+      sim.run();
+    }
+  }
+  benchmark::DoNotOptimize(heard);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(network.stats().broadcasts));
+}
+BENCHMARK(BM_Network_BroadcastFanout);
 
 void BM_Scenario_SingleRun(benchmark::State& state) {
   // One full paper-scenario simulation, the unit of every sweep.

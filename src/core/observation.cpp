@@ -4,30 +4,39 @@
 
 namespace pas::core {
 
-std::vector<PeerObservation> PeerTable::snapshot() const {
-  std::vector<PeerObservation> out;
-  snapshot_into(out);
-  return out;
+namespace {
+
+bool id_less(const PeerObservation& obs, std::uint32_t id) {
+  return obs.id < id;
 }
 
-void PeerTable::snapshot_into(std::vector<PeerObservation>& out) const {
-  out.clear();
-  out.reserve(entries_.size());
-  for (const auto& [id, obs] : entries_) out.push_back(obs);
-  std::sort(out.begin(), out.end(),
-            [](const PeerObservation& a, const PeerObservation& b) {
-              return a.id < b.id;
-            });
+}  // namespace
+
+void PeerTable::update(const PeerObservation& obs) {
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), obs.id, id_less);
+  if (it != entries_.end() && it->id == obs.id) {
+    *it = obs;
+  } else {
+    entries_.insert(it, obs);
+  }
+}
+
+std::optional<PeerObservation> PeerTable::find(std::uint32_t id) const {
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), id, id_less);
+  if (it == entries_.end() || it->id != id) return std::nullopt;
+  return *it;
+}
+
+std::vector<PeerObservation> PeerTable::snapshot() const {
+  return {entries_.begin(), entries_.end()};
 }
 
 void PeerTable::expire_older_than(sim::Time cutoff) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.received_at < cutoff) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(entries_, [cutoff](const PeerObservation& obs) {
+    return obs.received_at < cutoff;
+  });
 }
 
 }  // namespace pas::core

@@ -1,13 +1,13 @@
 // Neighbor knowledge base.
 //
 // Each node keeps the most recent RESPONSE from every neighbor. The
-// estimation functions (estimation.hpp) consume snapshots of this table;
-// the table itself is a thin keyed store.
+// estimation functions (estimation.hpp) read the table's entries() span
+// directly; the table itself is a thin keyed store.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/state.hpp"
@@ -35,33 +35,32 @@ struct PeerObservation {
 class PeerTable {
  public:
   /// Inserts or replaces the entry for `obs.id`.
-  void update(const PeerObservation& obs) { entries_[obs.id] = obs; }
+  void update(const PeerObservation& obs);
 
-  [[nodiscard]] std::optional<PeerObservation> find(std::uint32_t id) const {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second;
-  }
+  [[nodiscard]] std::optional<PeerObservation> find(std::uint32_t id) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   void clear() noexcept { entries_.clear(); }
+  /// Pre-sizes the table for `n` peers (a node's degree bounds its peers).
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
-  /// Snapshot ordered by neighbor id (deterministic iteration for
-  /// reproducible estimation regardless of hash order).
+  /// Every entry, ordered by neighbor id (deterministic iteration for
+  /// reproducible estimation). Valid until the table next changes.
+  [[nodiscard]] std::span<const PeerObservation> entries() const noexcept {
+    return entries_;
+  }
+
+  /// entries() copied into a new vector.
   [[nodiscard]] std::vector<PeerObservation> snapshot() const;
-
-  /// snapshot() into a caller-owned buffer (cleared first). The protocol
-  /// engine keeps one scratch vector per node in its Runtime slab, so the
-  /// per-evaluation allocation of the returning overload disappears once
-  /// the buffer has grown to the neighborhood size.
-  void snapshot_into(std::vector<PeerObservation>& out) const;
 
   /// Drops observations received before `cutoff`.
   void expire_older_than(sim::Time cutoff);
 
  private:
-  std::unordered_map<std::uint32_t, PeerObservation> entries_;
+  // Sorted by id. A neighborhood is a few dozen nodes, so a flat array
+  // beats a hash map and needs no sort to iterate in order.
+  std::vector<PeerObservation> entries_;
 };
 
 }  // namespace pas::core

@@ -151,9 +151,8 @@ void Protocol::on_covered_estimate(std::uint32_t i) {
   if (config_.observation_ttl_s > 0.0) {
     rt.table.expire_older_than(simulator_.now() - config_.observation_ttl_s);
   }
-  rt.table.snapshot_into(rt.peers);
-  if (const auto actual = actual_velocity(nodes_[i].position,
-                                          nodes_[i].detected, rt.peers)) {
+  if (const auto actual = actual_velocity(
+          nodes_[i].position, nodes_[i].detected, rt.table.entries())) {
     rt.velocity = *actual;
     rt.velocity_valid = true;
     if (trace_ != nullptr && trace_->enabled()) {
@@ -358,16 +357,15 @@ void Protocol::refresh_estimates(std::uint32_t i) {
   if (config_.observation_ttl_s > 0.0) {
     rt.table.expire_older_than(simulator_.now() - config_.observation_ttl_s);
   }
-  rt.table.snapshot_into(rt.peers);
   if (rt.state != NodeState::kCovered) {
-    if (const auto expected = expected_velocity(rt.peers)) {
+    if (const auto expected = expected_velocity(rt.table.entries())) {
       rt.velocity = *expected;
       rt.velocity_valid = true;
     }
   }
-  rt.predicted_arrival =
-      predict_arrival(nodes_[i].position, simulator_.now(), rt.peers,
-                      policy_->prediction_policy(rt.state));
+  rt.predicted_arrival = predict_arrival(
+      nodes_[i].position, simulator_.now(), rt.table.entries(),
+      policy_->prediction_policy(rt.state));
 }
 
 void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
@@ -397,6 +395,9 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
   obs.predicted_arrival = msg.payload.predicted_arrival;
   obs.detected_at = msg.payload.detected_at;
   obs.received_at = simulator_.now();
+  // Only neighbors are heard, so the degree bounds the table: one
+  // allocation per node instead of one per capacity doubling.
+  if (rt.table.empty()) rt.table.reserve(network_.neighbors_of(i).size());
   rt.table.update(obs);
 
   if (rt.state == NodeState::kCovered && !rt.velocity_valid) {
@@ -404,12 +405,11 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
     // near-simultaneous detections): keep trying as information arrives —
     // first the paper's formula 1, else adopt the neighborhood's expected
     // velocity so downstream predictions are not starved.
-    rt.table.snapshot_into(rt.peers);
-    if (const auto actual = actual_velocity(nodes_[i].position,
-                                            nodes_[i].detected, rt.peers)) {
+    if (const auto actual = actual_velocity(
+            nodes_[i].position, nodes_[i].detected, rt.table.entries())) {
       rt.velocity = *actual;
       rt.velocity_valid = true;
-    } else if (const auto expected = expected_velocity(rt.peers)) {
+    } else if (const auto expected = expected_velocity(rt.table.entries())) {
       rt.velocity = *expected;
       rt.velocity_valid = true;
     }

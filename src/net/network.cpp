@@ -1,10 +1,12 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <queue>
 #include <stdexcept>
 
 #include "geom/aabb.hpp"
 #include "net/mac.hpp"
+#include "sim/small_fn.hpp"
 
 namespace pas::net {
 
@@ -50,11 +52,16 @@ void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
   const geom::GridIndex index(positions_, bounds.inflated(1.0), config_.range_m);
   neighbors_.resize(positions_.size());
   for (std::uint32_t i = 0; i < positions_.size(); ++i) {
-    neighbors_[i].clear();
-    for (const std::uint32_t j : index.query_radius(positions_[i], config_.range_m)) {
-      if (j != i) neighbors_[i].push_back(j);
-    }
+    auto& nbrs = neighbors_[i];
+    nbrs.clear();
+    index.for_each_in_radius(positions_[i], config_.range_m,
+                             [&nbrs, i](std::uint32_t j) {
+                               if (j != i) nbrs.push_back(j);
+                             });
+    std::sort(nbrs.begin(), nbrs.end());
   }
+  frames_.clear();
+  free_frames_.clear();
 
   handlers_.clear();
   handlers_.resize(positions_.size());
@@ -131,25 +138,46 @@ void Network::broadcast(std::uint32_t from, Message msg) {
   const sim::Duration on_air =
       static_cast<double>(msg.size_bits()) / config_.data_rate_bps;
   const sim::Duration delay = backoff + on_air + config_.propagation_s;
+  if (neighbors_[from].empty()) return;
 
-  for (const std::uint32_t to : neighbors_[from]) {
-    simulator_.schedule_in(delay, [this, to, msg] {
-      if (failed_[to] != 0) {
-        ++stats_.dropped_failed;
-        return;
-      }
-      if (listening_[to] == 0) {
-        ++stats_.dropped_not_listening;
-        return;
-      }
-      if (!channel_->deliver(msg.sender, to, link_rng_[to])) {
-        ++stats_.dropped_channel;
-        return;
-      }
-      ++stats_.deliveries;
-      if (rx_hook_) rx_hook_(to, msg.size_bits());
-      if (handlers_[to]) handlers_[to](msg);
-    });
+  std::uint32_t slot = 0;
+  if (free_frames_.empty()) {
+    slot = static_cast<std::uint32_t>(frames_.size());
+    frames_.push_back(msg);
+  } else {
+    slot = free_frames_.back();
+    free_frames_.pop_back();
+    frames_[slot] = msg;
+  }
+  const auto deliver = [this, slot] { fan_out(slot); };
+  static_assert(sim::SmallFn::stores_inline<decltype(deliver)>,
+                "the fan-out closure must not heap-allocate per broadcast");
+  simulator_.schedule_in(delay, deliver);
+}
+
+void Network::fan_out(std::uint32_t slot) {
+  // Copy the frame out first: a handler may broadcast, which can grow (and
+  // reallocate) the slab or reuse this slot.
+  const Message msg = frames_[slot];
+  free_frames_.push_back(slot);
+  // Every neighbor receives within this one event, in ascending id order;
+  // no other event can run between two receptions of the same frame.
+  for (const std::uint32_t to : neighbors_[msg.sender]) {
+    if (failed_[to] != 0) {
+      ++stats_.dropped_failed;
+      continue;
+    }
+    if (listening_[to] == 0) {
+      ++stats_.dropped_not_listening;
+      continue;
+    }
+    if (!channel_->deliver(msg.sender, to, link_rng_[to])) {
+      ++stats_.dropped_channel;
+      continue;
+    }
+    ++stats_.deliveries;
+    if (rx_hook_) rx_hook_(to, msg.size_bits());
+    if (handlers_[to]) handlers_[to](msg);
   }
 }
 

@@ -6,6 +6,11 @@
 // (link, packet) pair independently consults the channel model. Energy is
 // reported through hooks so the net layer stays independent of the energy
 // layer's bookkeeping.
+//
+// Without a MAC, a broadcast is one kernel event: the stamped Message waits
+// in a per-Network slab of in-flight frames, and the event delivers it to
+// the sender's neighbors in ascending id order. Receiver state (failed,
+// listening) and the channel draw are checked per receiver at that instant.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +84,8 @@ class Network {
   [[nodiscard]] bool failed(std::uint32_t id) const { return failed_.at(id); }
 
   /// Queues a local broadcast. Stamps msg.sender/sent_at. No-op (counted)
-  /// when the sender has failed.
+  /// when the sender has failed. Without a MAC, every neighbor receives at
+  /// the same instant, in ascending id order, from one scheduled event.
   void broadcast(std::uint32_t from, Message msg);
 
   /// Energy hooks: tx fires once per broadcast, rx once per delivery.
@@ -126,6 +132,10 @@ class Network {
   [[nodiscard]] bool connected() const;
 
  private:
+  /// Delivers the in-flight frame in `slot` to its sender's neighbors and
+  /// returns the slot to the free list.
+  void fan_out(std::uint32_t slot);
+
   sim::Simulator& simulator_;
   std::vector<geom::Vec2> positions_;
   RadioConfig config_;
@@ -137,6 +147,10 @@ class Network {
   std::vector<char> listening_;
   std::vector<char> failed_;
   std::vector<sim::Pcg32> link_rng_;  // per receiver
+  // In-flight mac-off broadcasts, one Message per pending fan-out event;
+  // freed slots are recycled, so the slab stops growing once warm.
+  std::vector<Message> frames_;
+  std::vector<std::uint32_t> free_frames_;
   sim::Pcg32 jitter_rng_;
   EnergyHook tx_hook_;
   EnergyHook rx_hook_;

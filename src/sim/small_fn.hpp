@@ -4,12 +4,13 @@
 // lives on the heap once it outgrows the implementation's tiny inline buffer
 // (16 bytes on libstdc++ — two captured pointers). The kernel's hot path
 // allocates and frees one of those per event. SmallFn fixes the economics:
-// captures up to kInlineBytes (sized for the largest hot callback, a network
-// delivery closure carrying a Message by value) are stored inline in the
-// event slab; bigger or throwing-move callables fall back to one heap
-// allocation. SmallFn is move-only — the queue relocates callbacks through
-// dispatch instead of copying them — and relocation of an inline capture is
-// a nothrow move-construct, never an allocation.
+// captures up to kInlineBytes are stored inline in the event slab; bigger or
+// throwing-move callables fall back to one heap allocation. Hot-path
+// closures static_assert stores_inline<F>, so a capture that outgrows the
+// buffer fails to compile instead of silently allocating. SmallFn is
+// move-only — the queue relocates callbacks through dispatch instead of
+// copying them — and relocation of an inline capture is a nothrow
+// move-construct, never an allocation.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +25,9 @@ namespace pas::sim {
 class SmallFn {
  public:
   /// Inline capture capacity. 104 bytes + three dispatch pointers keep the
-  /// whole object at 128 bytes (two cache lines); the largest kernel-path
-  /// capture (Network delivery: this + receiver id + Message by value) is
-  /// ~88 bytes, so the hot path never allocates.
+  /// whole object at 128 bytes (two cache lines). Kernel-path captures are
+  /// a pointer plus an index or two (a timer trampoline, a Network fan-out
+  /// `[this, slot]`), far below the limit.
   static constexpr std::size_t kInlineBytes = 104;
 
   SmallFn() noexcept = default;
@@ -83,29 +84,33 @@ class SmallFn {
     return invoke_ != nullptr && relocate_ != &heap_relocate;
   }
 
+  /// True when a callable of type F is stored in the inline buffer (no
+  /// allocation on construction or relocation). Hot-path call sites
+  /// static_assert this on their closure type.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(std::remove_cvref_t<F>) <= kInlineBytes &&
+      alignof(std::remove_cvref_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::remove_cvref_t<F>>;
+
   /// Total footprint sanity: keep the object at two cache lines.
   static_assert(kInlineBytes % alignof(void*) == 0);
 
  private:
-  template <typename D>
-  static constexpr bool kStoredInline =
-      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
-
   /// Pre: *this is empty.
   template <typename F>
   void construct(F&& f) {
     using D = std::remove_cvref_t<F>;
-    if constexpr (kStoredInline<D> && std::is_trivially_copyable_v<D> &&
+    if constexpr (stores_inline<D> && std::is_trivially_copyable_v<D> &&
                   std::is_trivially_destructible_v<D>) {
-      // The kernel's hot captures (a node index, a Message by value) are
-      // trivially relocatable: moving is a raw byte copy and destruction is
-      // a no-op, so the destroy pointer stays null and reset() skips the
+      // The kernel's hot captures (`this` plus a node index or frame slot)
+      // are trivially relocatable: moving is a raw byte copy and destruction
+      // is a no-op, so the destroy pointer stays null and reset() skips the
       // indirect call entirely.
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       invoke_ = &inline_invoke<D>;
       relocate_ = &trivial_relocate<sizeof(D)>;
-    } else if constexpr (kStoredInline<D>) {
+    } else if constexpr (stores_inline<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       invoke_ = &inline_invoke<D>;
       relocate_ = &inline_relocate<D>;

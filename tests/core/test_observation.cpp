@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "sim/rng.hpp"
+
 namespace pas::core {
 namespace {
 
@@ -56,6 +60,54 @@ TEST(PeerTable, ClearEmpties) {
   t.update(obs(1, 1.0));
   t.clear();
   EXPECT_TRUE(t.empty());
+}
+
+TEST(PeerTable, EntriesMatchStdMapUnderRandomOperations) {
+  // Differential check of the flat sorted array against an ordered map:
+  // same membership, same contents, and entries() in ascending id order.
+  sim::Pcg32 rng(2024, 7);
+  PeerTable t;
+  std::map<std::uint32_t, PeerObservation> ref;
+  sim::Time now = 0.0;
+  for (int step = 0; step < 5000; ++step) {
+    now += rng.uniform(0.0, 0.5);
+    const double op = rng.uniform(0.0, 1.0);
+    if (op < 0.6) {
+      const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, 39));
+      PeerObservation o = obs(id, now);
+      o.predicted_arrival = rng.uniform(0.0, 100.0);
+      t.update(o);
+      ref[o.id] = o;
+    } else if (op < 0.7) {
+      const sim::Time cutoff = now - rng.uniform(0.0, 10.0);
+      t.expire_older_than(cutoff);
+      std::erase_if(ref, [cutoff](const auto& kv) {
+        return kv.second.received_at < cutoff;
+      });
+    } else if (op < 0.71) {
+      t.clear();
+      ref.clear();
+    } else {
+      const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, 39));
+      const auto found = t.find(id);
+      const auto it = ref.find(id);
+      ASSERT_EQ(found.has_value(), it != ref.end()) << "step " << step;
+      if (found) {
+        EXPECT_DOUBLE_EQ(found->received_at, it->second.received_at);
+        EXPECT_DOUBLE_EQ(found->predicted_arrival,
+                         it->second.predicted_arrival);
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size());
+    const auto entries = t.entries();
+    auto it = ref.begin();
+    for (const PeerObservation& e : entries) {
+      ASSERT_EQ(e.id, it->first) << "step " << step;
+      EXPECT_DOUBLE_EQ(e.received_at, it->second.received_at);
+      EXPECT_DOUBLE_EQ(e.predicted_arrival, it->second.predicted_arrival);
+      ++it;
+    }
+  }
 }
 
 TEST(StateCodec, RoundTrips) {

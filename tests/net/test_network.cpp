@@ -125,6 +125,118 @@ TEST_F(NetworkFixture, ChainIsConnected) {
   EXPECT_TRUE(network.connected());
 }
 
+// Four mutually in-range nodes whose grid-cell order differs from id order
+// (nodes 1-3 share the first 10 m cell, node 0 sits in the next one), with
+// zero MAC jitter so same-instant broadcasts deliver at the same time.
+struct FanOutFixture : ::testing::Test {
+  struct Rx {
+    std::uint32_t to;
+    std::uint32_t sender;
+    double value;
+    bool operator==(const Rx&) const = default;
+  };
+
+  static RadioConfig no_jitter() {
+    RadioConfig c;
+    c.max_jitter_s = 0.0;
+    return c;
+  }
+
+  static Message response(double value) {
+    Message m;
+    m.type = MessageType::kResponse;
+    m.payload.predicted_arrival = value;
+    return m;
+  }
+
+  void record_all() {
+    for (std::uint32_t i = 0; i < network.size(); ++i) {
+      network.set_rx_handler(i, [this, i](const Message& m) {
+        log.push_back({i, m.sender, m.payload.predicted_arrival});
+      });
+    }
+  }
+
+  sim::Simulator simulator;
+  sim::SeedSequence seeds{7};
+  Network network{simulator,
+                  {{15.0, 0.0}, {5.0, 0.0}, {10.0, 0.0}, {8.0, 0.0}},
+                  no_jitter(), std::make_shared<PerfectChannel>(), seeds};
+  std::vector<Rx> log;
+};
+
+TEST_F(FanOutFixture, NeighborListsAscendingWithoutSelf) {
+  EXPECT_EQ(network.neighbors_of(0), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(network.neighbors_of(1), (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(network.neighbors_of(2), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(network.neighbors_of(3), (std::vector<std::uint32_t>{0, 1, 2}));
+}
+
+TEST_F(FanOutFixture, SameInstantBroadcastsDeliverInBroadcastThenIdOrder) {
+  record_all();
+  network.broadcast(2, response(1.0));
+  network.broadcast(0, response(2.0));
+  simulator.run();
+  const std::vector<Rx> expected{{0, 2, 1.0}, {1, 2, 1.0}, {3, 2, 1.0},
+                                 {1, 0, 2.0}, {2, 0, 2.0}, {3, 0, 2.0}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(network.stats().deliveries, 6U);
+}
+
+TEST_F(FanOutFixture, BroadcastFromHandlerLeavesLaterReceiversIntact) {
+  record_all();
+  // Node 0 hears node 2 first and answers with enough broadcasts to force
+  // the in-flight slab to grow (and move) mid-fan-out.
+  constexpr int kBurst = 64;
+  bool answered = false;
+  network.set_rx_handler(0, [&](const Message& m) {
+    log.push_back({0, m.sender, m.payload.predicted_arrival});
+    if (answered) return;
+    answered = true;
+    for (int k = 0; k < kBurst; ++k) network.broadcast(0, response(100.0 + k));
+  });
+  network.broadcast(2, response(1.0));
+  ASSERT_TRUE(simulator.step());  // the whole fan-out of node 2's frame
+  const std::vector<Rx> first{{0, 2, 1.0}, {1, 2, 1.0}, {3, 2, 1.0}};
+  EXPECT_EQ(log, first);
+  simulator.run();
+  ASSERT_EQ(log.size(), 3U + 3U * kBurst);
+  for (int k = 0; k < kBurst; ++k) {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const Rx& rx = log[3 + 3 * static_cast<std::size_t>(k) + r];
+      EXPECT_EQ(rx.sender, 0U);
+      EXPECT_EQ(rx.to, r + 1);
+      EXPECT_DOUBLE_EQ(rx.value, 100.0 + k);
+    }
+  }
+}
+
+TEST_F(FanOutFixture, ReceiverStateChangesMidFanOutApplyToLaterNeighbors) {
+  record_all();
+  // Node 0 is first in node 2's fan-out; its handler puts node 1 to sleep
+  // and fails node 3 before their turn comes.
+  network.set_rx_handler(0, [&](const Message& m) {
+    log.push_back({0, m.sender, m.payload.predicted_arrival});
+    network.set_listening(1, false);
+    network.set_failed(3);
+  });
+  network.broadcast(2, response(1.0));
+  simulator.run();
+  EXPECT_EQ(log, (std::vector<Rx>{{0, 2, 1.0}}));
+  EXPECT_EQ(network.stats().deliveries, 1U);
+  EXPECT_EQ(network.stats().dropped_not_listening, 1U);
+  EXPECT_EQ(network.stats().dropped_failed, 1U);
+}
+
+TEST_F(FanOutFixture, OneKernelEventPerBroadcast) {
+  network.broadcast(0, response(1.0));
+  network.broadcast(1, response(2.0));
+  EXPECT_EQ(simulator.pending_events(), 2U);
+  simulator.run();
+  EXPECT_EQ(simulator.executed_events(), 2U);
+  EXPECT_EQ(network.stats().deliveries, 6U);
+}
+
 TEST(Network, DisconnectedTopologyDetected) {
   sim::Simulator simulator;
   const sim::SeedSequence seeds(1);

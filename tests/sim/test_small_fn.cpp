@@ -47,6 +47,19 @@ TEST(SmallFn, OversizedCaptureFallsBackToHeap) {
   EXPECT_EQ(seen, 7);
 }
 
+TEST(SmallFn, StoresInlineTraitMatchesPlacement) {
+  using Fits = std::array<char, SmallFn::kInlineBytes>;
+  using Spills = std::array<char, SmallFn::kInlineBytes + 1>;
+  static_assert(SmallFn::stores_inline<Fits>);
+  static_assert(!SmallFn::stores_inline<Spills>);
+  const auto fits = [blob = Fits{}] { (void)blob[0]; };
+  const auto spills = [blob = Spills{}] { (void)blob[0]; };
+  static_assert(SmallFn::stores_inline<decltype(fits)>);
+  static_assert(!SmallFn::stores_inline<decltype(spills)>);
+  EXPECT_TRUE(SmallFn(fits).is_inline());
+  EXPECT_FALSE(SmallFn(spills).is_inline());
+}
+
 TEST(SmallFn, ThrowingMoveFallsBackToHeap) {
   struct ThrowingMove {
     ThrowingMove() = default;
