@@ -4,8 +4,8 @@
 // The CI perf gate (tools/check_bench_regression.py against
 // bench/BENCH_kernel_baseline.json) watches BM_Simulator_EventStorm,
 // BM_Simulator_EventStormPayload, BM_Network_BroadcastFanout,
-// BM_Scenario_SingleRun, BM_EventQueue_MacShaped and BM_EventQueue_Sparse
-// at 15%, and
+// BM_Scenario_SingleRun, BM_Mac_MultihopRun, BM_EventQueue_MacShaped and
+// BM_EventQueue_Sparse at 15%, and
 // BM_Aggregator_Record / BM_Aggregator_Finalize (filesystem-bound) at a
 // looser 50%; keep their workloads stable.
 #include <benchmark/benchmark.h>
@@ -19,6 +19,7 @@
 #include "exp/aggregate.hpp"
 #include "exp/row_store.hpp"
 #include "geom/aabb.hpp"
+#include "io/json.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -27,10 +28,12 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "world/config_json.hpp"
 #include "world/deployment.hpp"
 #include "world/paper_setup.hpp"
 #include "world/scenario.hpp"
 #include "world/sweep.hpp"
+#include "world/workspace.hpp"
 
 namespace {
 
@@ -102,11 +105,12 @@ void BM_EventQueue_MixedHorizon(benchmark::State& state) {
 BENCHMARK(BM_EventQueue_MixedHorizon)->Arg(10000)->Arg(100000);
 
 void BM_EventQueue_MacShaped(benchmark::State& state) {
-  // MAC-scale pending set: every node keeps one slot-sampling timer armed
-  // (n live events at all times), re-arming one period ahead as it fires,
-  // with a thin layer of short-horizon traffic on top. This is the workload
-  // the ladder index exists for — a heap pays O(log n) per re-arm against a
-  // deep heap; the ladder touches one calendar bucket.
+  // Synthetic MAC-scale pending set: n periodic timers always armed (n live
+  // events at all times), each re-arming one period ahead as it fires, with
+  // a thin layer of short-horizon traffic on top — the shape an eager
+  // per-slot LPL sampler would give. The real MAC samples lazily (see
+  // BM_Mac_MultihopRun), so this is now a pure queue stress: a heap pays
+  // O(log n) per re-arm against a deep heap; the ladder touches one bucket.
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr double kPeriod = 0.25;
   pas::sim::Pcg32 rng(5, 9);
@@ -264,6 +268,41 @@ void BM_Scenario_SingleRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Scenario_SingleRun)->Unit(benchmark::kMillisecond);
+
+void BM_Mac_MultihopRun(benchmark::State& state) {
+  // One MAC-on run: the base scenario of examples/multihop_collection.json
+  // (49-node grid, 14 m radios, slotted LPL MAC at 0.1 s slots, tree
+  // collection to a corner sink, PAS). Lazy slot sampling, rendezvous,
+  // contention and collection forwarding, end to end through a Workspace.
+  const auto cfg = pas::world::scenario_from_json(pas::io::Json::parse(R"({
+    "duration_s": 150,
+    "deployment": {"kind": "grid", "count": 49, "region_m": 80},
+    "radio": {"range_m": 14},
+    "stimulus": {
+      "kind": "radial",
+      "radial": {
+        "source": {"x": 4, "y": 4},
+        "base_speed_mps": 1.0,
+        "start_time_s": 5,
+        "max_radius_m": 120,
+        "harmonics": [{"k": 2, "amplitude": 0.08, "phase": 1.3}]
+      }
+    },
+    "mac": {"enabled": true, "slot_period_s": 0.1},
+    "collection": {"sink_placement": "corner", "max_hops": 16,
+                   "node_queue_limit": 8}
+  })"));
+  pas::world::Workspace workspace;
+  std::uint64_t seed = 1;
+  std::uint64_t samples = 0;
+  for (auto _ : state) {
+    auto run_cfg = cfg;
+    run_cfg.seed = seed++;
+    samples += workspace.run_metrics(run_cfg).mac.lpl_samples;
+  }
+  benchmark::DoNotOptimize(samples);
+}
+BENCHMARK(BM_Mac_MultihopRun)->Unit(benchmark::kMicrosecond);
 
 void BM_Scenario_Replicated(benchmark::State& state) {
   // A replicated point, serially — the unit of campaign work. Unlike

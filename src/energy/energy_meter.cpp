@@ -41,9 +41,10 @@ void EnergyMeter::add_rx(std::size_t bits) {
   ++rx_count_;
 }
 
-void EnergyMeter::add_cca(sim::Duration seconds) {
-  cca_j_ += profile_.radio_rx_w * seconds;
-  ++cca_count_;
+void EnergyMeter::add_cca(sim::Duration seconds, std::uint64_t count) {
+  const double j = profile_.radio_rx_w * seconds;
+  for (std::uint64_t c = 0; c < count; ++c) cca_j_ += j;
+  cca_count_ += count;
 }
 
 void EnergyMeter::add_preamble(sim::Duration seconds) {

@@ -43,10 +43,13 @@ class EnergyMeter {
 
   // MAC line items (net::SlottedLplMac hooks; all zero when the MAC is off).
 
-  /// One clear-channel assessment of `seconds` — radio briefly up at RX
-  /// power. Charged to sleeping nodes (LPL slot samples, relay CCAs); an
-  /// awake radio's listening is already inside the active-mode power.
-  void add_cca(sim::Duration seconds);
+  /// `count` clear-channel assessments of `seconds` each — radio briefly up
+  /// at RX power. Charged to sleeping nodes (LPL slot samples, relay CCAs);
+  /// an awake radio's listening is already inside the active-mode power.
+  /// Performs `count` sequential adds, so a bulk charge is bit-equal to
+  /// `count` single calls in any interleaving (every CCA term is the same
+  /// double; `count * j` would round differently).
+  void add_cca(sim::Duration seconds, std::uint64_t count = 1);
   /// Preamble of `seconds` at TX power (rendezvous preambles dominate).
   void add_preamble(sim::Duration seconds);
   /// Idle-listen extension of `seconds` at total-active power: a sleeping

@@ -41,6 +41,7 @@ void collect_outcomes(const std::vector<node::SensorNode>& nodes,
     o.sleep_s = n.meter.sleep_s();
     o.transitions = n.meter.transitions();
     o.tx_count = n.meter.tx_count();
+    o.cca_count = n.meter.cca_count();
     out.push_back(o);
   }
 }

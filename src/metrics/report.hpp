@@ -45,6 +45,7 @@ struct NodeOutcome {
   double sleep_s = 0.0;
   std::uint64_t transitions = 0;
   std::uint64_t tx_count = 0;
+  std::uint64_t cca_count = 0;
 };
 
 /// Kernel-level counters for one run, lifted off the simulator after the

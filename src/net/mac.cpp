@@ -62,7 +62,7 @@ void SlottedLplMac::reset(const MacConfig& config,
   trace_ = nullptr;
   // Hooks capture the previous world's state; a fresh MAC has none.
   deliver_ = DeliverFn{};
-  cca_hook_ = EnergyTimeHook{};
+  cca_hook_ = EnergyCcaHook{};
   preamble_hook_ = EnergyTimeHook{};
   listen_hook_ = EnergyTimeHook{};
   tx_hook_ = EnergyBitsHook{};
@@ -84,8 +84,8 @@ void SlottedLplMac::reset(const MacConfig& config,
   }
 }
 
-sim::Time SlottedLplMac::next_sample_time(std::uint32_t id,
-                                          sim::Time after) const {
+std::int64_t SlottedLplMac::next_sample_index(std::uint32_t id,
+                                              sim::Time after) const {
   const NodeState& n = nodes_.at(id);
   const double per = config_.slot_period_s;
   // `after` is usually a grid point itself (the sample that just fired);
@@ -93,32 +93,92 @@ sim::Time SlottedLplMac::next_sample_time(std::uint32_t id,
   // which without the epsilon would schedule a duplicate sample ~1e-15 s
   // later instead of a full period later.
   const double eps = per * 1e-9;
-  double k = std::floor((after + eps - n.phase) / per) + 1.0;
-  if (k < 0.0) k = 0.0;
-  sim::Time t = n.phase + k * per;
-  while (t <= after + eps) t += per;
-  return t;
+  const double k = std::floor((after + eps - n.phase) / per) + 1.0;
+  auto index = static_cast<std::int64_t>(std::max(k, 0.0));
+  while (sample_at(n, index) <= after + eps) ++index;
+  return index;
+}
+
+std::int64_t SlottedLplMac::chain_end(const NodeState& n, sim::Time limit,
+                                      bool inclusive) const {
+  const auto due = [&](std::int64_t k) {
+    const sim::Time t = sample_at(n, k);
+    return inclusive ? t <= limit : t < limit;
+  };
+  // The division lands within one index of the boundary; step onto it.
+  auto k = static_cast<std::int64_t>(
+      std::floor((limit - n.phase) / config_.slot_period_s));
+  k = std::max(k, n.chain_k);
+  while (k > n.chain_k && !due(k - 1)) --k;
+  while (due(k)) ++k;
+  return k;
+}
+
+void SlottedLplMac::account_idle(std::uint32_t i, sim::Time limit,
+                                 bool inclusive) {
+  NodeState& n = nodes_[i];
+  const std::int64_t end = chain_end(n, limit, inclusive);
+  const auto count = static_cast<std::uint64_t>(end - n.chain_k);
+  if (count == 0) return;
+  n.chain_k = end;
+  stats_.lpl_samples += count;
+  if (cca_hook_) cca_hook_(i, config_.cca_s, count);
+}
+
+void SlottedLplMac::continue_chain(std::uint32_t i, sim::Time after) {
+  NodeState& n = nodes_[i];
+  n.chain_k = next_sample_index(i, after);
+  const sim::Time t = sample_at(n, n.chain_k);
+  for (const std::uint32_t j : network_.neighbors_of(i)) {
+    const NodeState& c = nodes_[j];
+    if (c.tx_active && t < c.tx_data_end) {
+      n.sample_timer.arm_at(t);
+      return;
+    }
+  }
+}
+
+void SlottedLplMac::stop_sampling(std::uint32_t i) {
+  NodeState& n = nodes_[i];
+  // An armed timer sits at chain_k, which is not yet due: nothing to count.
+  if (!n.sample_timer.cancel()) account_idle(i, simulator_.now(), true);
+  n.sampling = false;
+}
+
+void SlottedLplMac::settle(sim::Time until) {
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    const NodeState& n = nodes_[i];
+    if (n.sampling && !n.sample_timer.pending()) account_idle(i, until, true);
+  }
+}
+
+MacStats SlottedLplMac::stats() const {
+  MacStats s = stats_;
+  const sim::Time now = simulator_.now();
+  for (const NodeState& n : nodes_) {
+    if (n.sampling && !n.sample_timer.pending()) {
+      s.lpl_samples +=
+          static_cast<std::uint64_t>(chain_end(n, now, true) - n.chain_k);
+    }
+  }
+  return s;
 }
 
 void SlottedLplMac::on_listening_changed(std::uint32_t id, bool listening) {
   NodeState& n = nodes_.at(id);
   if (n.failed) return;
   if (listening) {
-    if (n.sampling) {
-      n.sample_timer.cancel();
-      n.sampling = false;
-    }
+    if (n.sampling) stop_sampling(id);
   } else if (!n.sampling) {
     n.sampling = true;
-    n.sample_timer.arm_at(next_sample_time(id, simulator_.now()));
+    continue_chain(id, simulator_.now());
   }
 }
 
 void SlottedLplMac::on_failed(std::uint32_t id) {
   NodeState& n = nodes_.at(id);
+  if (n.sampling) stop_sampling(id);
   n.failed = true;
-  n.sampling = false;
-  n.sample_timer.cancel();
   n.retry_timer.cancel();
   n.rx = Rx{};
   // A transmission already on air is cleaned up by its own data-end event
@@ -194,7 +254,7 @@ void SlottedLplMac::try_send(std::uint32_t i) {
   Frame& f = n.queue.front();
   // A sleeping node pays for the CCA sample; an awake radio's listen power
   // already covers it (the EnergyMeter active-mode contract).
-  if (!network_.listening(i) && cca_hook_) cca_hook_(i, config_.cca_s);
+  if (!network_.listening(i) && cca_hook_) cca_hook_(i, config_.cca_s, 1);
   // Half-duplex: a radio locked onto a reception defers like a busy medium.
   if (n.rx.active || medium_busy_for(i)) {
     ++stats_.cca_busy;
@@ -241,9 +301,16 @@ void SlottedLplMac::start_tx(std::uint32_t i) {
   trace(sim::TraceKind::kMacDataTx, i, data_end - now);
 
   // Carrier starting now corrupts receptions already in progress at shared
-  // receivers (hidden terminals got past their sender's CCA).
+  // receivers (hidden terminals got past their sender's CCA). Sleeping
+  // neighbors' idle samples end here: the first one at or after now is
+  // armed if this carrier covers it.
   for (const std::uint32_t to : network_.neighbors_of(i)) {
     NodeState& r = nodes_[to];
+    if (r.sampling && !r.sample_timer.pending()) {
+      account_idle(to, now, false);
+      const sim::Time t = sample_at(r, r.chain_k);
+      if (t < data_end) r.sample_timer.arm_at(t);
+    }
     if (!r.rx.active || r.rx.sender == i) continue;
     if (now - r.rx.data_start >= config_.capture_margin_s) {
       ++stats_.captures;  // established reception survives (capture effect)
@@ -378,12 +445,13 @@ void SlottedLplMac::on_sample(std::uint32_t i) {
   NodeState& n = nodes_[i];
   if (n.failed || !n.sampling) return;
   const sim::Time now = simulator_.now();
+  ++n.chain_k;  // this sample is accounted here; the body moves the chain
   ++stats_.lpl_samples;
-  if (cca_hook_) cca_hook_(i, config_.cca_s);
+  if (cca_hook_) cca_hook_(i, config_.cca_s, 1);
 
   // Busy with our own radio work (forwarding while asleep): skip the scan.
   if (n.rx.active || n.tx_active) {
-    n.sample_timer.arm_at(next_sample_time(i, now));
+    continue_chain(i, now);
     return;
   }
 
@@ -420,16 +488,16 @@ void SlottedLplMac::on_sample(std::uint32_t i) {
     }
     n.rx = lock;
     if (listen_hook_) listen_hook_(i, t.tx_data_end - now);
-    n.sample_timer.arm_at(next_sample_time(i, t.tx_data_end));
+    continue_chain(i, t.tx_data_end);
     return;
   }
   if (busy_until > now) {
     ++stats_.overhears;
     if (listen_hook_) listen_hook_(i, busy_until - now);
-    n.sample_timer.arm_at(next_sample_time(i, busy_until));
+    continue_chain(i, busy_until);
     return;
   }
-  n.sample_timer.arm_at(next_sample_time(i, now));
+  continue_chain(i, now);
 }
 
 void SlottedLplMac::trace(sim::TraceKind kind, std::uint32_t node, double x) {

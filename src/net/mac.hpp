@@ -6,8 +6,12 @@
 // rendezvous, contention, and collisions. SlottedLplMac models that cost:
 //
 //   * every node owns a wake-slot phase in [0, slot_period): while
-//     protocol-asleep it wakes each slot for one clear-channel assessment
-//     (CCA) sample and goes back down unless it detects a preamble;
+//     protocol-asleep it samples the channel once per slot — one
+//     clear-channel assessment (CCA) at phase + k·slot_period — and goes
+//     back down unless it detects a preamble. Sampling is lazy: only a
+//     sample that a neighbor's carrier covers is dispatched as a kernel
+//     event; the idle samples between them are counted and charged in bulk
+//     by index arithmetic, with the same counts and the same joules;
 //   * a sender performs CCA before transmitting and retreats into binary
 //     exponential backoff while the medium is busy;
 //   * a unicast to a sleeping receiver pays the rendezvous cost: the
@@ -21,8 +25,11 @@
 //
 // Every energy consequence (CCA samples, preamble, idle-listen extension,
 // data TX) is reported through hooks charged to energy::EnergyMeter line
-// items; the MAC itself holds no meters. Determinism: slot phases and
-// backoff draws come from dedicated SeedSequence domains (kMacSlot,
+// items; the MAC itself holds no meters. Idle samples are charged when
+// their chain is next touched (a wake, a failure, a neighbor's carrier
+// start) or at settle(); a run calls settle(horizon) after its last
+// run_until so the CCA line items are complete. Determinism: slot phases
+// and backoff draws come from dedicated SeedSequence domains (kMacSlot,
 // kMacBackoff) consumed only when the MAC is enabled, so a mac-off run
 // never observes a different RNG stream — the golden-seed byte-identity
 // contract (docs/ARCHITECTURE.md).
@@ -107,9 +114,13 @@ class SlottedLplMac {
   using DeliverFn = std::function<void(const Message& msg, std::uint32_t to)>;
   /// Unicast outcome: true when the frame was delivered and acknowledged.
   using SendCallback = std::function<void(bool delivered)>;
-  /// Time-priced energy hooks (seconds of CCA / preamble / idle listen).
+  /// Time-priced energy hooks (seconds of preamble / idle listen).
   using EnergyTimeHook =
       std::function<void(std::uint32_t node, sim::Duration seconds)>;
+  /// CCA hook: `count` samples of `seconds` each (idle slot samples are
+  /// charged in bulk; every other CCA with count 1).
+  using EnergyCcaHook = std::function<void(
+      std::uint32_t node, sim::Duration seconds, std::uint64_t count)>;
   /// Data transmission hook (bits on air).
   using EnergyBitsHook =
       std::function<void(std::uint32_t node, std::size_t bits)>;
@@ -122,15 +133,23 @@ class SlottedLplMac {
   void reset(const MacConfig& config, const sim::SeedSequence& seeds);
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-  void set_cca_hook(EnergyTimeHook h) { cca_hook_ = std::move(h); }
+  void set_cca_hook(EnergyCcaHook h) { cca_hook_ = std::move(h); }
   void set_preamble_hook(EnergyTimeHook h) { preamble_hook_ = std::move(h); }
   void set_listen_hook(EnergyTimeHook h) { listen_hook_ = std::move(h); }
   void set_tx_hook(EnergyBitsHook h) { tx_hook_ = std::move(h); }
   void set_trace(sim::TraceLog* trace) { trace_ = trace; }
 
   /// Network notifications (radio on/off follows the protocol sleep state).
+  /// A wake or a failure first charges the node's idle samples due at or
+  /// before now().
   void on_listening_changed(std::uint32_t id, bool listening);
   void on_failed(std::uint32_t id);
+
+  /// Counts and charges every sleeping node's idle samples due at or before
+  /// `until` (inclusive, like Simulator::run_until). Call once the kernel has
+  /// run every event up to `until` — after run_until(until), or after run()
+  /// drained.
+  void settle(sim::Time until);
 
   /// Queues a best-effort broadcast (short preamble: reaches listening
   /// radios, plus any sleeping neighbor whose slot sample caught it).
@@ -147,12 +166,20 @@ class SlottedLplMac {
   /// The node's first slot-sample time strictly after `after` — also the
   /// rendezvous point a sender's preamble must cover.
   [[nodiscard]] sim::Time next_sample_time(std::uint32_t id,
-                                           sim::Time after) const;
+                                           sim::Time after) const {
+    return sample_time(id, next_sample_index(id, after));
+  }
+  /// The node's k-th slot sample: phase + k · slot_period_s.
+  [[nodiscard]] sim::Time sample_time(std::uint32_t id, std::int64_t k) const {
+    return sample_at(nodes_.at(id), k);
+  }
   [[nodiscard]] sim::Duration slot_phase(std::uint32_t id) const {
     return nodes_.at(id).phase;
   }
 
-  [[nodiscard]] const MacStats& stats() const noexcept { return stats_; }
+  /// Exact at any instant: includes the idle samples due at or before
+  /// now() that have not been charged yet.
+  [[nodiscard]] MacStats stats() const;
   [[nodiscard]] const MacConfig& config() const noexcept { return config_; }
 
  private:
@@ -175,8 +202,12 @@ class SlottedLplMac {
   struct NodeState {
     sim::Duration phase = 0.0;
     sim::Pcg32 backoff_rng;
-    bool sampling = false;  // slot-sample timer armed (protocol asleep)
+    // Protocol asleep: the slot chain runs. Its samples are phase +
+    // k·slot_period for k = chain_k, chain_k + 1, …; sample_timer is armed
+    // (always at chain_k) only while a neighbor's carrier covers that sample.
+    bool sampling = false;
     bool failed = false;
+    std::int64_t chain_k = 0;  // first sample not yet accounted for
     // Current transmission (valid while tx_active).
     bool tx_active = false;
     sim::Time tx_start = 0.0;
@@ -194,6 +225,22 @@ class SlottedLplMac {
   void on_data_start(std::uint32_t i);
   void on_data_end(std::uint32_t i);
   void on_sample(std::uint32_t i);
+  [[nodiscard]] sim::Time sample_at(const NodeState& n,
+                                    std::int64_t k) const noexcept {
+    return n.phase + static_cast<double>(k) * config_.slot_period_s;
+  }
+  [[nodiscard]] std::int64_t next_sample_index(std::uint32_t id,
+                                               sim::Time after) const;
+  /// First chain index >= chain_k whose sample is after `limit` (or at or
+  /// after it when `inclusive` is false).
+  [[nodiscard]] std::int64_t chain_end(const NodeState& n, sim::Time limit,
+                                       bool inclusive) const;
+  /// Counts and charges an unarmed chain's idle samples up to `limit`.
+  void account_idle(std::uint32_t i, sim::Time limit, bool inclusive);
+  /// Moves the chain to the first sample after `after` and arms it if a
+  /// neighbor carrier on air covers it.
+  void continue_chain(std::uint32_t i, sim::Time after);
+  void stop_sampling(std::uint32_t i);
   void finish_frame(std::uint32_t i, bool delivered);
   void backoff(std::uint32_t i, sim::Duration extra);
   [[nodiscard]] bool medium_busy_for(std::uint32_t i) const;
@@ -208,7 +255,7 @@ class SlottedLplMac {
   MacConfig config_{};
   std::vector<NodeState> nodes_;
   DeliverFn deliver_;
-  EnergyTimeHook cca_hook_;
+  EnergyCcaHook cca_hook_;
   EnergyTimeHook preamble_hook_;
   EnergyTimeHook listen_hook_;
   EnergyBitsHook tx_hook_;

@@ -7,9 +7,8 @@
 // unsorted far-future overflow list that reseeds the calendar when the
 // rungs drain. push and pop are O(1) amortized — only the active bucket is
 // ever sorted — and the structure touches one small contiguous bucket per
-// dispatch instead of O(log n) scattered heap nodes, which is what makes
-// MAC-scale pending sets (every node's slot-sampling timer armed at once)
-// cheap. Building with -DPAS_EVENTQ_HEAP=ON swaps the index back to the
+// dispatch instead of O(log n) scattered heap nodes, which is what keeps
+// large pending sets cheap. Building with -DPAS_EVENTQ_HEAP=ON swaps the index back to the
 // original binary heap (same contract, O(log n)) for differential testing
 // and A/B benchmarks; see docs/ARCHITECTURE.md "Kernel internals".
 //

@@ -121,9 +121,10 @@ void Workspace::execute(const ScenarioConfig& config,
       mac_->reset(config.mac, seeds);
     }
     network_->attach_mac(&*mac_);
-    mac_->set_cca_hook([this](std::uint32_t id, sim::Duration s) {
-      nodes_[id].meter.add_cca(s);
-    });
+    mac_->set_cca_hook(
+        [this](std::uint32_t id, sim::Duration s, std::uint64_t count) {
+          nodes_[id].meter.add_cca(s, count);
+        });
     mac_->set_preamble_hook([this](std::uint32_t id, sim::Duration s) {
       nodes_[id].meter.add_preamble(s);
     });
@@ -159,6 +160,8 @@ void Workspace::execute(const ScenarioConfig& config,
                           collection);
   protocol.start();
   simulator_.run_until(config.duration_s);
+  // Idle LPL samples are charged lazily; close their chains at the horizon.
+  if (config.mac.enabled) mac_->settle(config.duration_s);
 
   for (auto& n : nodes_) n.meter.finalize(config.duration_s);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace pas::energy {
 namespace {
 
@@ -78,6 +80,56 @@ TEST(EnergyMeter, NonFiniteStartHandledByConstruction) {
   EnergyMeter m(kTelos, 5.0, PowerMode::kActive);
   m.finalize(6.0);
   EXPECT_DOUBLE_EQ(m.active_s(), 1.0);
+}
+
+TEST(EnergyMeter, BulkCcaIsBitEqualToSingleCalls) {
+  // Exact equality on the doubles: lazy LPL sampling charges idle samples in
+  // bulk and must reproduce per-sample charging to the last bit.
+  constexpr double kCca = 2e-3;
+  for (const std::uint64_t n : {0ULL, 1ULL, 7ULL, 1000ULL, 123457ULL}) {
+    EnergyMeter bulk(kTelos, 0.0, PowerMode::kSleep);
+    EnergyMeter single(kTelos, 0.0, PowerMode::kSleep);
+    bulk.add_cca(kCca, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.add_cca(kCca);
+    EXPECT_EQ(bulk.cca_j(), single.cca_j()) << n;
+    EXPECT_EQ(bulk.cca_count(), n);
+    EXPECT_EQ(single.cca_count(), n);
+  }
+}
+
+TEST(EnergyMeter, BulkCcaInterleavedWithOtherLineItems) {
+  constexpr double kCca = 2e-3;
+  EnergyMeter bulk(kTelos, 0.0, PowerMode::kSleep);
+  EnergyMeter single(kTelos, 0.0, PowerMode::kSleep);
+  // Bulk runs of varying length, split by single CCAs, mode switches and
+  // the other MAC line items, replayed one sample at a time on `single`.
+  const std::uint64_t runs[] = {3, 0, 250, 1, 17, 4096, 2, 999};
+  double t = 0.0;
+  for (const std::uint64_t n : runs) {
+    bulk.add_cca(kCca, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.add_cca(kCca);
+    bulk.add_cca(kCca);
+    single.add_cca(kCca);
+    t += 1.25;
+    const PowerMode mode =
+        n % 2 == 0 ? PowerMode::kActive : PowerMode::kSleep;
+    for (EnergyMeter* m : {&bulk, &single}) {
+      m->add_preamble(0.013);
+      m->add_listen(0.004);
+      m->add_tx(256);
+      m->set_mode(mode, t);
+    }
+  }
+  bulk.finalize(t + 1.0);
+  single.finalize(t + 1.0);
+  EXPECT_EQ(bulk.cca_j(), single.cca_j());
+  EXPECT_EQ(bulk.cca_count(), single.cca_count());
+  EXPECT_EQ(bulk.preamble_j(), single.preamble_j());
+  EXPECT_EQ(bulk.listen_j(), single.listen_j());
+  EXPECT_EQ(bulk.tx_j(), single.tx_j());
+  EXPECT_EQ(bulk.sleep_j(), single.sleep_j());
+  EXPECT_EQ(bulk.active_j(), single.active_j());
+  EXPECT_EQ(bulk.total_j(t + 1.0), single.total_j(t + 1.0));
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "net/collection.hpp"
 #include "net/mac.hpp"
+#include "metrics/report.hpp"
 #include "net/network.hpp"
 #include "world/paper_setup.hpp"
 #include "world/scenario.hpp"
@@ -39,6 +40,29 @@ std::uint64_t trace_digest(const sim::TraceLog& log) {
     mix(std::bit_cast<std::uint64_t>(e.time), 8);
     mix(static_cast<std::uint64_t>(e.category), 1);
     mix(e.node, 4);
+  }
+  return h;
+}
+
+/// FNV-1a over the bit patterns of every node's energy breakdown. Idle LPL
+/// slot samples emit no trace event, so trace digests alone would not catch
+/// a miscounted sample; its CCA charge lands here.
+std::uint64_t energy_digest(const std::vector<metrics::NodeOutcome>& nodes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffULL;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& o : nodes) {
+    mix(std::bit_cast<std::uint64_t>(o.energy_cca_j));
+    mix(o.cca_count);
+    mix(std::bit_cast<std::uint64_t>(o.energy_listen_j));
+    mix(std::bit_cast<std::uint64_t>(o.energy_preamble_j));
+    mix(std::bit_cast<std::uint64_t>(o.energy_tx_j));
+    mix(std::bit_cast<std::uint64_t>(o.energy_sleep_j));
+    mix(std::bit_cast<std::uint64_t>(o.energy_active_j));
   }
   return h;
 }
@@ -69,6 +93,10 @@ TEST(GoldenMultihop, PasMacSeed7) {
   // Synchronized response bursts make broadcasts collide heavily — exactly
   // the contention cost the coin-flip model hides.
   EXPECT_EQ(result.metrics.mac.collisions, 373ULL);
+  EXPECT_EQ(result.metrics.mac.lpl_samples, 27890ULL);
+  EXPECT_EQ(result.metrics.mac.lpl_wakeups, 49ULL);
+  EXPECT_EQ(result.metrics.mac.overhears, 23ULL);
+  EXPECT_EQ(energy_digest(result.outcomes), 6697221839778559781ULL);
 }
 
 TEST(GoldenMultihop, DutyCycleMacSeed5) {
@@ -83,6 +111,27 @@ TEST(GoldenMultihop, DutyCycleMacSeed5) {
   EXPECT_EQ(result.metrics.collection.delivered, 17ULL);
   EXPECT_EQ(result.metrics.collection.delivered_predicted, 2ULL);
   EXPECT_EQ(result.metrics.mac.rendezvous_tx, 0ULL);
+  EXPECT_EQ(result.metrics.mac.lpl_samples, 27318ULL);
+  EXPECT_EQ(result.metrics.mac.lpl_wakeups, 0ULL);
+  EXPECT_EQ(result.metrics.mac.overhears, 2ULL);
+  EXPECT_EQ(energy_digest(result.outcomes), 11809379176478765757ULL);
+}
+
+TEST(GoldenMultihop, PasMacFailuresAndLossSeed13) {
+  // Mid-run failures end sampling chains; Bernoulli loss forces retries.
+  auto cfg = multihop_scenario(core::Policy::kPas, 13);
+  cfg.failures = {.fraction = 0.3, .window_start_s = 20.0,
+                  .window_end_s = 120.0};
+  cfg.channel = world::ChannelKind::kBernoulli;
+  cfg.channel_loss = 0.1;
+  const auto result = run_scenario(cfg);
+  EXPECT_EQ(result.trace.size(), 2443ULL);
+  EXPECT_EQ(trace_digest(result.trace), 851822801872274708ULL);
+  EXPECT_EQ(result.metrics.mac.retries, 6ULL);
+  EXPECT_EQ(result.metrics.mac.lpl_samples, 24416ULL);
+  EXPECT_EQ(result.metrics.mac.lpl_wakeups, 40ULL);
+  EXPECT_EQ(result.metrics.mac.overhears, 26ULL);
+  EXPECT_EQ(energy_digest(result.outcomes), 4652299405175089735ULL);
 }
 
 TEST(GoldenMultihop, MacRunsAreSeedDeterministic) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "net/network.hpp"
@@ -131,7 +133,6 @@ TEST_F(MacFixture, RendezvousUnicastWaitsForReceiverWakeSlot) {
   });
   const sim::Time wake = mac.next_sample_time(1, 0.0);
   mac.unicast(0, 1, request(), SlottedLplMac::SendCallback{});
-  // run_until, not run(): a sleeping node's slot sampler re-arms forever.
   simulator.run_until(wake + 0.05);
   EXPECT_EQ(received, 1);
   EXPECT_EQ(mac.stats().rendezvous_tx, 1ULL);
@@ -156,9 +157,10 @@ TEST_F(MacFixture, RendezvousEnergyChargedThroughHooks) {
   mac.set_listen_hook([&](std::uint32_t node, sim::Duration s) {
     if (node == 1) rx_listen_s += s;
   });
-  mac.set_cca_hook([&](std::uint32_t node, sim::Duration s) {
-    if (node == 1) rx_cca_s += s;
-  });
+  mac.set_cca_hook(
+      [&](std::uint32_t node, sim::Duration s, std::uint64_t count) {
+        if (node == 1) rx_cca_s += s * static_cast<double>(count);
+      });
   const sim::Time wake = mac.next_sample_time(1, 0.0);
   mac.unicast(0, 1, request(), SlottedLplMac::SendCallback{});
   simulator.run_until(wake + 0.05);
@@ -185,6 +187,167 @@ TEST_F(MacFixture, SleepingNodeSamplesOncePerSlot) {
   const std::uint64_t at_wake = mac.stats().lpl_samples;
   simulator.run_until(20.0);
   EXPECT_EQ(mac.stats().lpl_samples, at_wake);
+}
+
+/// Slot samples k with lo < phase + k·per <= hi, by the closed form.
+std::uint64_t grid_points(double phase, double per, double lo, double hi) {
+  return static_cast<std::uint64_t>(std::floor((hi - phase) / per) -
+                                    std::floor((lo - phase) / per));
+}
+
+TEST(MacChain, NextSampleOfASampleIsTheNextGridPoint) {
+  // Lazy sampling counts idle samples by index; that is exact only if the
+  // eager re-arm (next_sample_time from the sample that just fired) lands
+  // bit-for-bit on the next index.
+  for (const double per : {0.03, 0.05, 0.1, 0.37}) {
+    for (const std::uint64_t seed : {1ULL, 99ULL}) {
+      sim::Simulator simulator;
+      const sim::SeedSequence seeds(seed);
+      const std::vector<geom::Vec2> positions{{0.0, 0.0}, {8.0, 0.0}};
+      Network network(simulator, positions, RadioConfig{},
+                      std::make_shared<PerfectChannel>(), seeds);
+      SlottedLplMac mac(simulator, network);
+      MacConfig config;
+      config.slot_period_s = per;
+      config.cca_s = per / 10.0;
+      mac.reset(config, seeds);
+      for (std::uint32_t i = 0; i < 2; ++i) {
+        std::int64_t mismatches = 0;
+        for (std::int64_t k = 0; k <= 1'000'000; ++k) {
+          const sim::Time next =
+              mac.next_sample_time(i, mac.sample_time(i, k));
+          mismatches += std::bit_cast<std::uint64_t>(next) !=
+                        std::bit_cast<std::uint64_t>(mac.sample_time(i, k + 1));
+        }
+        EXPECT_EQ(mismatches, 0) << "per " << per << " seed " << seed
+                                 << " node " << i;
+      }
+    }
+  }
+}
+
+TEST_F(MacFixture, RunDrainsWhileNodesSleepAndSettleCountsTheGrid) {
+  MacConfig config;
+  arm(config);
+  std::vector<std::uint64_t> cca_count(3, 0);
+  mac.set_cca_hook(
+      [&](std::uint32_t node, sim::Duration s, std::uint64_t count) {
+        EXPECT_EQ(s, config.cca_s);
+        cca_count[node] += count;
+      });
+  network.set_listening(0, false);
+  network.set_listening(2, false);
+  // No traffic: no sample is covered by a carrier, so none is an event.
+  EXPECT_EQ(simulator.run(), 0U);
+  EXPECT_EQ(simulator.pending_events(), 0U);
+  EXPECT_EQ(mac.stats().lpl_samples, 0ULL);  // now() is still 0
+
+  const double horizon = 10.0;
+  mac.settle(horizon);
+  std::uint64_t expected = 0;
+  for (const std::uint32_t i : {0U, 2U}) {
+    // The chain starts at the first sample after the sleep instant (0).
+    const std::uint64_t n = grid_points(mac.slot_phase(i),
+                                        config.slot_period_s, 0.0, horizon);
+    EXPECT_EQ(cca_count[i], n) << "node " << i;
+    expected += n;
+  }
+  EXPECT_EQ(cca_count[1], 0ULL);  // awake: no samples
+  EXPECT_EQ(mac.stats().lpl_samples, expected);
+  EXPECT_GE(expected, 198ULL);
+  // Settling again to the same horizon charges nothing twice.
+  mac.settle(horizon);
+  EXPECT_EQ(mac.stats().lpl_samples, expected);
+  EXPECT_EQ(cca_count[0] + cca_count[2], expected);
+}
+
+TEST_F(MacFixture, SleeperWakesOnceAtFirstCoveredSample) {
+  MacConfig config;
+  arm(config);
+  const double per = config.slot_period_s;
+  std::vector<sim::Time> listen_at;
+  mac.set_listen_hook([&](std::uint32_t node, sim::Duration) {
+    if (node == 1) listen_at.push_back(simulator.now());
+  });
+  int received = 0;
+  network.set_rx_handler(1, [&](const Message&) { ++received; });
+
+  // Node 1 falls asleep mid-run; a rendezvous carrier then starts halfway
+  // between two of its samples, so the first sample it covers is the next.
+  const sim::Time sleep_at = 0.5;
+  const sim::Time carrier_at = mac.next_sample_time(1, 1.0) + per / 2.0;
+  const sim::Time covered = mac.next_sample_time(1, carrier_at);
+  simulator.schedule_at(sleep_at, [&] { network.set_listening(1, false); });
+  simulator.schedule_at(carrier_at, [&] {
+    mac.unicast(0, 1, request(), SlottedLplMac::SendCallback{});
+  });
+  const sim::Time horizon = 2.0;
+  simulator.run_until(horizon);
+  mac.settle(horizon);
+
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(mac.stats().lpl_wakeups, 1ULL);
+  ASSERT_EQ(listen_at.size(), 1U);
+  EXPECT_EQ(listen_at[0], covered);
+  // Exactly one sample was a kernel event: sleep, unicast submit, data
+  // start, data end and the covered sample are the whole schedule.
+  EXPECT_EQ(simulator.executed_events(), 5U);
+  // Every other sample in (sleep_at, horizon] was still counted (the data
+  // ends well inside the slot after the covered one, so none was skipped).
+  EXPECT_EQ(mac.stats().lpl_samples,
+            grid_points(mac.slot_phase(1), per, sleep_at, horizon));
+}
+
+TEST_F(MacFixture, FailureStopsTheChainAtTheFailureInstant) {
+  MacConfig config;
+  arm(config);
+  const double per = config.slot_period_s;
+  std::vector<std::uint64_t> cca_count(3, 0);
+  mac.set_cca_hook([&](std::uint32_t node, sim::Duration,
+                       std::uint64_t count) { cca_count[node] += count; });
+  network.set_listening(1, false);
+  network.set_listening(2, false);
+  const sim::Time fail_at = 5.0;
+  simulator.schedule_at(fail_at, [&] { network.set_failed(1); });
+  const sim::Time horizon = 10.0;
+  simulator.run_until(horizon);
+  const std::uint64_t dead =
+      grid_points(mac.slot_phase(1), per, 0.0, fail_at);
+  const std::uint64_t alive =
+      grid_points(mac.slot_phase(2), per, 0.0, horizon);
+  // Exact before settle(): stats() counts what is due at or before now().
+  EXPECT_EQ(mac.stats().lpl_samples, dead + alive);
+  EXPECT_EQ(cca_count[1], dead);  // charged at the failure
+  mac.settle(horizon);
+  EXPECT_EQ(cca_count[1], dead);
+  EXPECT_EQ(cca_count[2], alive);
+  EXPECT_EQ(mac.stats().lpl_samples, dead + alive);
+}
+
+TEST_F(MacFixture, WakeChargesTheChainAndSleepRestartsIt) {
+  MacConfig config;
+  arm(config);
+  const double per = config.slot_period_s;
+  std::uint64_t charged = 0;
+  mac.set_cca_hook([&](std::uint32_t node, sim::Duration,
+                       std::uint64_t count) {
+    if (node == 1) charged += count;
+  });
+  const sim::Time wake_at = 3.3, resleep_at = 6.1, horizon = 10.0;
+  network.set_listening(1, false);
+  simulator.schedule_at(wake_at, [&] { network.set_listening(1, true); });
+  simulator.schedule_at(resleep_at,
+                        [&] { network.set_listening(1, false); });
+  const double phase = mac.slot_phase(1);
+  simulator.run_until(resleep_at);
+  // Charged at the wake, before any settle().
+  EXPECT_EQ(charged, grid_points(phase, per, 0.0, wake_at));
+  simulator.run_until(horizon);
+  mac.settle(horizon);
+  const std::uint64_t expected = grid_points(phase, per, 0.0, wake_at) +
+                                 grid_points(phase, per, resleep_at, horizon);
+  EXPECT_EQ(charged, expected);
+  EXPECT_EQ(mac.stats().lpl_samples, expected);
 }
 
 TEST_F(MacFixture, SenderBacksOffWhileMediumBusy) {
