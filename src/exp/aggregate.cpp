@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <optional>
 #include <queue>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -153,6 +152,11 @@ Aggregator::Aggregator(AggregatorOptions options)
     throw std::logic_error(
         "Aggregator: per-run output requires the replication count");
   }
+  if (!json_path_.empty() && csv_path_.empty()) {
+    // The JSON-lines mirror is rendered by the same export as the CSV.
+    throw std::logic_error(
+        "Aggregator: JSON-lines output requires a summary CSV path");
+  }
   if (!per_run_path_.empty() && csv_path_.empty()) {
     // Resume pairs per-run groups with summary rows; without the summary
     // CSV every recovered group would look orphaned and be wiped.
@@ -163,7 +167,10 @@ Aggregator::Aggregator(AggregatorOptions options)
     // The store exists to back a CSV artifact; in-memory aggregation
     // (benches, unit tests) has nothing to export.
     throw std::logic_error(
-        "Aggregator: store mode requires a summary CSV path");
+        "Aggregator: a row-store path requires a summary CSV path");
+  }
+  if (store_path_.empty() && !csv_path_.empty()) {
+    store_path_ = RowStore::path_for(csv_path_);
   }
   if (!options.owned_points.empty()) {
     owned_.assign(total_points_, 0);
@@ -188,12 +195,12 @@ Aggregator::Aggregator(AggregatorOptions options)
   per_run_columns_.insert(per_run_columns_.end(), run_metrics.begin(),
                           run_metrics.end());
 
-  if (store_mode()) {
+  if (!store_path_.empty()) {
     identity_hash_ = RowStore::hash_identity(columns_, total_points_,
                                              replications_,
                                              expected_identity_);
-    store_done_.assign(total_points_, 0);
   }
+  done_.assign(total_points_, 0);
 }
 
 Aggregator::Aggregator(std::string csv_path, std::string json_path,
@@ -238,27 +245,6 @@ std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
   return out;
 }
 
-void Aggregator::open_appenders() {
-  if (!csv_path_.empty()) {
-    csv_out_.open(csv_path_, std::ios::app);
-    if (!csv_out_) {
-      throw std::runtime_error("Aggregator: cannot open " + csv_path_);
-    }
-  }
-  if (!json_path_.empty()) {
-    json_out_.open(json_path_, std::ios::app);
-    if (!json_out_) {
-      throw std::runtime_error("Aggregator: cannot open " + json_path_);
-    }
-  }
-  if (!per_run_path_.empty()) {
-    per_run_out_.open(per_run_path_, std::ios::app);
-    if (!per_run_out_) {
-      throw std::runtime_error("Aggregator: cannot open " + per_run_path_);
-    }
-  }
-}
-
 void Aggregator::load_rows_file(
     const std::string& path, const std::vector<std::string>& want_header,
     const char* flag_hint, std::size_t key_arity,
@@ -297,10 +283,11 @@ void Aggregator::load_rows_file(
   }
 }
 
-void Aggregator::load_point_rows() {
+std::map<std::size_t, std::vector<std::string>> Aggregator::load_point_rows() {
+  std::map<std::size_t, std::vector<std::string>> rows;
   load_rows_file(
       csv_path_, columns_, "--out", /*key_arity=*/1,
-      [this](std::size_t point, std::size_t, std::vector<std::string> cells) {
+      [&](std::size_t point, std::size_t, std::vector<std::string> cells) {
         if (!expected_identity_.empty()) {
           // cells[1..1+axis_count] are the seed + axis values, and the
           // replications cell follows them; a mismatch means the file was
@@ -324,16 +311,20 @@ void Aggregator::load_point_rows() {
                 "changed?); delete the file or change --out");
           }
         }
-        rows_[point] = std::move(cells);
+        rows[point] = std::move(cells);
       });
+  return rows;
 }
 
-void Aggregator::load_per_run_rows() {
+std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
+Aggregator::load_per_run_rows() {
+  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
+      groups;
   load_rows_file(
       per_run_path_, per_run_columns_, "--per-run",
       /*key_arity=*/2,
-      [this](std::size_t point, std::size_t rep,
-             std::vector<std::string> cells) {
+      [&](std::size_t point, std::size_t rep,
+          std::vector<std::string> cells) {
         if (rep >= replications_) return;
         if (!expected_identity_.empty()) {
           // Mirror of load_point_rows' identity check: cells are
@@ -354,8 +345,9 @@ void Aggregator::load_per_run_rows() {
                 "changed?); delete the file or change --per-run");
           }
         }
-        per_run_rows_[point][rep] = std::move(cells);
+        groups[point][rep] = std::move(cells);
       });
+  return groups;
 }
 
 void Aggregator::ensure_store() {
@@ -372,8 +364,8 @@ std::size_t Aggregator::load_store() {
       (std::filesystem::exists(csv_path_, ec) ||
        (!per_run_path_.empty() &&
         std::filesystem::exists(per_run_path_, ec)))) {
-    // A legacy/finalized artifact (or a stale per-run file from another
-    // campaign) is on disk: run the legacy readers, which validate every
+    // A finalized or bare artifact (or a stale per-run file from another
+    // campaign) is on disk: run the CSV readers, which validate every
     // row's identity, and seed a fresh store from the survivors.
     return seed_store_from_csv();
   }
@@ -413,8 +405,6 @@ std::size_t Aggregator::load_store() {
     }
   });
 
-  store_done_.assign(total_points_, 0);
-  store_done_count_ = 0;
   for (std::size_t p = 0; p < total_points_; ++p) {
     if (summary_live[p] == 0) continue;
     if (per_run) {
@@ -426,149 +416,56 @@ std::size_t Aggregator::load_store() {
       }
       if (!complete) continue;
     }
-    store_done_[p] = 1;
-    ++store_done_count_;
+    done_[p] = 1;
+    ++done_count_;
   }
-  return store_done_count_;
+  return done_count_;
 }
 
 std::size_t Aggregator::seed_store_from_csv() {
-  // No store but a CSV exists: a finalized artifact or a pre-store
-  // campaign. Recover through the legacy readers — same header, identity,
-  // shard, and torn-group checks — then import the surviving rows into a
-  // fresh store. The CSV stays on disk untouched; the next export
-  // replaces it.
-  load_point_rows();
+  // No store but a CSV exists (a finalized or bare artifact). Recover
+  // through the CSV readers — header, identity, shard, and torn-group
+  // checks — then import the surviving rows into a fresh store. The CSV
+  // stays on disk untouched; the next export replaces it.
+  auto rows = load_point_rows();
+  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
+      groups;
   if (!per_run_path_.empty()) {
-    load_per_run_rows();
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      const auto group = per_run_rows_.find(it->first);
-      if (group == per_run_rows_.end() ||
-          group->second.size() != replications_) {
-        if (group != per_run_rows_.end()) per_run_rows_.erase(group);
-        it = rows_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = per_run_rows_.begin(); it != per_run_rows_.end();) {
-      it = rows_.count(it->first) == 0 ? per_run_rows_.erase(it)
-                                       : std::next(it);
+    groups = load_per_run_rows();
+    // A point is only truly done when its per-run group is complete: a
+    // kill can land between the per-run rows and the summary row. Torn
+    // groups are dropped and the point recomputed (orphaned groups without
+    // a summary row are never imported).
+    for (auto it = rows.begin(); it != rows.end();) {
+      const auto group = groups.find(it->first);
+      const bool complete =
+          group != groups.end() && group->second.size() == replications_;
+      it = complete ? std::next(it) : rows.erase(it);
     }
   }
 
   store_->open_append();
-  store_done_.assign(total_points_, 0);
-  store_done_count_ = 0;
-  for (const auto& [point, cells] : rows_) {
-    const auto group = per_run_rows_.find(point);
-    if (group != per_run_rows_.end()) {
+  for (const auto& [point, cells] : rows) {
+    const auto group = groups.find(point);
+    if (group != groups.end()) {
       for (const auto& [rep, rc] : group->second) {
         store_->append(RowStore::Kind::kPerRun, point, rep, rc);
       }
     }
     store_->append(RowStore::Kind::kSummary, point, 0, cells);
-    store_done_[point] = 1;
-    ++store_done_count_;
+    done_[point] = 1;
+    ++done_count_;
   }
   store_->flush();
-  rows_.clear();
-  per_run_rows_.clear();
-  return store_done_count_;
+  return done_count_;
 }
 
 std::size_t Aggregator::load_existing() {
   const std::lock_guard lock(mutex_);
   if (loaded_) throw std::logic_error("Aggregator: load_existing called twice");
   loaded_ = true;
-
-  if (store_mode()) return load_store();
-
-  if (!csv_path_.empty()) load_point_rows();
-  if (!per_run_path_.empty()) {
-    load_per_run_rows();
-    // A point is only truly done when its per-run group is complete: a
-    // kill can land between the per-run rows and the summary row. Torn
-    // groups are dropped and the point recomputed (and vice versa for
-    // orphaned groups without a summary row).
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      const auto group = per_run_rows_.find(it->first);
-      if (group == per_run_rows_.end() ||
-          group->second.size() != replications_) {
-        if (group != per_run_rows_.end()) per_run_rows_.erase(group);
-        it = rows_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = per_run_rows_.begin(); it != per_run_rows_.end();) {
-      it = rows_.count(it->first) == 0 ? per_run_rows_.erase(it)
-                                       : std::next(it);
-    }
-  }
-
-  // Compact what we recovered (drops truncated/duplicate rows), writing the
-  // header either way, and leave the files open for appending.
-  rewrite_files(/*require_complete=*/false);
-  open_appenders();
-  return rows_.size();
-}
-
-void Aggregator::rewrite_files(bool require_complete) {
-  // Caller holds mutex_.
-  if (require_complete && rows_.size() != owned_count()) {
-    throw std::logic_error("Aggregator: finalize with incomplete campaign");
-  }
-  if (!csv_path_.empty()) {
-    if (csv_out_.is_open()) csv_out_.close();
-    const std::string tmp = csv_path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) throw std::runtime_error("Aggregator: cannot write " + tmp);
-      out << csv_line(columns_) << '\n';
-      for (const auto& [point, cells] : rows_) {
-        (void)point;
-        out << csv_line(cells) << '\n';
-      }
-    }
-    if (std::rename(tmp.c_str(), csv_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + csv_path_);
-    }
-  }
-  if (!json_path_.empty()) {
-    if (json_out_.is_open()) json_out_.close();
-    const std::string tmp = json_path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) throw std::runtime_error("Aggregator: cannot write " + tmp);
-      for (const auto& [point, cells] : rows_) {
-        (void)point;
-        out << json_line(cells) << '\n';
-      }
-    }
-    if (std::rename(tmp.c_str(), json_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + json_path_);
-    }
-  }
-  if (!per_run_path_.empty()) {
-    if (per_run_out_.is_open()) per_run_out_.close();
-    const std::string tmp = per_run_path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) throw std::runtime_error("Aggregator: cannot write " + tmp);
-      out << csv_line(per_run_columns_) << '\n';
-      for (const auto& [point, group] : per_run_rows_) {
-        (void)point;
-        for (const auto& [rep, cells] : group) {
-          (void)rep;
-          out << csv_line(cells) << '\n';
-        }
-      }
-    }
-    if (std::rename(tmp.c_str(), per_run_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + per_run_path_);
-    }
-  }
+  // In-memory aggregation has nothing on disk to resume.
+  return store_path_.empty() ? 0 : load_store();
 }
 
 void Aggregator::export_store() {
@@ -661,8 +558,7 @@ void Aggregator::export_store() {
   // Per-point group state: last-wins by sequence number, with tombstones
   // (which sort first) setting the liveness threshold. Only a complete
   // group — live summary plus, in per-run mode, every replication — is
-  // rendered; torn batches and discarded generations vanish exactly as the
-  // legacy reconciliation dropped them.
+  // rendered; torn batches and discarded generations vanish.
   std::size_t cur_point = SIZE_MAX;
   std::uint64_t tomb_seq = 0;
   bool have_tomb = false;
@@ -750,25 +646,15 @@ void Aggregator::export_store() {
 
 bool Aggregator::is_done(std::size_t point) const {
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    return point < store_done_.size() && store_done_[point] != 0;
-  }
-  return rows_.count(point) > 0;
+  return point < done_.size() && done_[point] != 0;
 }
 
 std::vector<std::size_t> Aggregator::pending() const {
   const std::lock_guard lock(mutex_);
   std::vector<std::size_t> out;
-  if (store_mode()) {
-    out.reserve(owned_count() - store_done_count_);
-    for (std::size_t p = 0; p < total_points_; ++p) {
-      if (owns(p) && store_done_[p] == 0) out.push_back(p);
-    }
-    return out;
-  }
-  out.reserve(owned_count() - rows_.size());
+  out.reserve(owned_count() - done_count_);
   for (std::size_t p = 0; p < total_points_; ++p) {
-    if (owns(p) && rows_.count(p) == 0) out.push_back(p);
+    if (owns(p) && done_[p] == 0) out.push_back(p);
   }
   return out;
 }
@@ -834,10 +720,10 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
   }
 
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    if (store_done_[point] != 0) return;  // already recovered via resume
+  if (done_[point] != 0) return;  // already recovered via resume
+  summaries_.emplace(point, PointSummary::of(point, seed, m));
+  if (!store_path_.empty()) {
     ensure_store();
-    summaries_.emplace(point, PointSummary::of(point, seed, m));
     // The whole point — per-run group then summary — lands in one batched
     // write + flush at the point boundary: the summary record doubles as
     // the group's commit mark, so a torn batch is dropped on resume.
@@ -846,124 +732,76 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
     }
     store_->append(RowStore::Kind::kSummary, point, 0, cells);
     store_->flush();
-    store_done_[point] = 1;
-    ++store_done_count_;
-    return;
   }
-  if (rows_.count(point) > 0) return;  // already recovered via resume
-  summaries_.emplace(point, PointSummary::of(point, seed, m));
-  // Per-run rows land on disk before the summary row: resume treats a
-  // summary row without its full per-run group as torn either way, but
-  // this order makes the common kill point (between points) clean.
-  if (per_run_out_.is_open()) {
-    for (const auto& [r, rc] : run_rows) {
-      (void)r;
-      per_run_out_ << csv_line(rc) << '\n';
-    }
-    per_run_out_.flush();
-  }
-  if (csv_out_.is_open()) {
-    csv_out_ << csv_line(cells) << '\n';
-    csv_out_.flush();
-  }
-  if (json_out_.is_open()) {
-    json_out_ << json_line(cells) << '\n';
-    json_out_.flush();
-  }
-  if (!per_run_path_.empty()) per_run_rows_.emplace(point, std::move(run_rows));
-  rows_.emplace(point, std::move(cells));
+  done_[point] = 1;
+  ++done_count_;
 }
 
 void Aggregator::finalize() {
   const std::lock_guard lock(mutex_);
-  if (!store_mode()) {
-    rewrite_files(/*require_complete=*/true);
-    return;
-  }
-  if (store_done_count_ != owned_count()) {
+  if (done_count_ != owned_count()) {
     throw std::logic_error("Aggregator: finalize with incomplete campaign");
   }
+  if (store_path_.empty()) return;
   ensure_store();
   export_store();
-  // The artifacts now carry everything; a finalized campaign looks exactly
-  // like a legacy one (resume re-seeds from the CSV if ever needed).
+  // The artifacts now carry everything (resume re-seeds from the CSV if
+  // ever needed).
   store_->remove_file();
 }
 
 void Aggregator::compact() {
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    // Export the current state; the store stays open and authoritative
-    // (tombstones and superseded generations resolve at export, so no
-    // store rewrite is needed).
-    ensure_store();
-    export_store();
-    return;
-  }
-  rewrite_files(/*require_complete=*/false);
-  open_appenders();
+  if (store_path_.empty()) return;
+  // Export the current state; the store stays open and authoritative
+  // (tombstones and superseded generations resolve at export, so no store
+  // rewrite is needed).
+  ensure_store();
+  export_store();
 }
 
 void Aggregator::discard_points(const std::vector<std::size_t>& points) {
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    bool changed = false;
-    for (const auto p : points) {
-      summaries_.erase(p);
-      if (p < store_done_.size() && store_done_[p] != 0) {
+  bool changed = false;
+  for (const auto p : points) {
+    summaries_.erase(p);
+    if (p < done_.size() && done_[p] != 0) {
+      done_[p] = 0;
+      --done_count_;
+      if (!store_path_.empty()) {
         ensure_store();
         store_->append(RowStore::Kind::kTombstone, p, 0, {});
-        store_done_[p] = 0;
-        --store_done_count_;
         changed = true;
       }
     }
-    if (changed) store_->flush();
-    return;
   }
-  bool changed = false;
-  for (const auto p : points) {
-    changed = rows_.erase(p) > 0 || changed;
-    per_run_rows_.erase(p);
-    summaries_.erase(p);
-  }
-  if (changed) {
-    rewrite_files(/*require_complete=*/false);
-    open_appenders();
-  }
+  if (changed) store_->flush();
 }
 
 std::vector<std::size_t> Aggregator::done_points() const {
   const std::lock_guard lock(mutex_);
   std::vector<std::size_t> out;
-  if (store_mode()) {
-    out.reserve(store_done_count_);
-    for (std::size_t p = 0; p < store_done_.size(); ++p) {
-      if (store_done_[p] != 0) out.push_back(p);
-    }
-    return out;
-  }
-  out.reserve(rows_.size());
-  for (const auto& [point, cells] : rows_) {
-    (void)cells;
-    out.push_back(point);
+  out.reserve(done_count_);
+  for (std::size_t p = 0; p < done_.size(); ++p) {
+    if (done_[p] != 0) out.push_back(p);
   }
   return out;
 }
 
 std::size_t Aggregator::done_count() const {
   const std::lock_guard lock(mutex_);
-  return store_mode() ? store_done_count_ : rows_.size();
+  return done_count_;
 }
 
 // --- Shard merging ----------------------------------------------------------
 
 namespace {
 
-/// Internal signal: an input file is not sorted by (point, rep), so the
-/// streaming merge cannot preserve its invariants — fall back to the
-/// buffered implementation (which sorts everything in memory).
-struct UnsortedInputError {};
+/// Appended to every coverage error: the streaming merge meets an
+/// unsorted input's rows out of order, which looks exactly like a gap.
+constexpr const char* kUnsortedHint =
+    " (or an input is not sorted; resuming that shard with --resume "
+    "re-exports it in order)";
 
 struct MergeExpectations {
   std::vector<std::string> want_point_header;
@@ -1030,136 +868,18 @@ void check_manifest_row(const std::vector<std::string>& cells,
   }
 }
 
-/// The legacy buffered merge: loads every row into a map. Kept as the
-/// fallback for unsorted inputs; finalized shard/part files are always
-/// sorted, so the streaming path handles the real pipelines.
-std::size_t merge_outputs_buffered(const std::vector<std::string>& inputs,
-                                   const std::string& out_path,
-                                   const Manifest* manifest) {
-  const MergeExpectations expect = merge_expectations(manifest);
-
-  std::string header_line;
-  std::vector<std::string> header;
-  bool per_run = false;
-  // (point, rep) → raw line; raw bytes are re-emitted untouched so the
-  // merged file is byte-identical to an unsharded run's output.
-  std::map<std::pair<std::size_t, std::size_t>, std::string> rows;
-
-  for (const auto& path : inputs) {
-    std::ifstream in(path);
-    if (!in) {
-      throw std::runtime_error("merge_outputs: cannot open " + path);
-    }
-    bool first = true;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      if (first) {
-        first = false;
-        if (header.empty()) {
-          header_line = line;
-          header = split_csv_line(line);
-          per_run = header.size() > 1 && header[1] == "rep";
-          if (manifest != nullptr &&
-              header != (per_run ? expect.want_per_run_header
-                                 : expect.want_point_header)) {
-            throw std::runtime_error(
-                "merge_outputs: header of " + path +
-                " does not match the manifest's output columns");
-          }
-        } else if (split_csv_line(line) != header) {
-          throw std::runtime_error(
-              "merge_outputs: header of " + path + " does not match " +
-              inputs.front() + " (shards of different campaigns?)");
-        }
-        continue;
-      }
-      const auto cells = split_csv_line(line);
-      if (cells.size() != header.size()) {
-        throw std::runtime_error(
-            "merge_outputs: truncated row in " + path +
-            "; resume that shard to completion before merging");
-      }
-      std::size_t point = 0, rep = 0;
-      if (!parse_index(cells[0], point) ||
-          (per_run && !parse_index(cells[1], rep))) {
-        throw std::runtime_error("merge_outputs: unparsable row key in " +
-                                 path);
-      }
-      if (manifest != nullptr) {
-        check_manifest_row(cells, point, rep, per_run, path, *manifest,
-                           expect.grid);
-      }
-      if (!rows.emplace(std::make_pair(point, rep), line).second) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) +
-            (per_run ? " replication " + std::to_string(rep) : std::string()) +
-            " appears in multiple inputs (overlapping shards?)");
-      }
-    }
-  }
-  if (header.empty()) {
-    throw std::runtime_error("merge_outputs: inputs contain no header");
-  }
-
-  // Completeness: the merged point set must have no gaps (a missing shard
-  // would otherwise go unnoticed), per-run groups must be rectangular, and
-  // a manifest pins the exact expected counts.
-  std::size_t max_point = 0, max_rep = 0;
-  std::set<std::size_t> points_seen;
-  std::map<std::size_t, std::size_t> reps_per_point;
-  for (const auto& [key, line] : rows) {
-    (void)line;
-    max_point = std::max(max_point, key.first);
-    max_rep = std::max(max_rep, key.second);
-    points_seen.insert(key.first);
-    ++reps_per_point[key.first];
-  }
-  const std::size_t want_points =
-      manifest != nullptr ? manifest->point_count() : max_point + 1;
-  const std::size_t want_reps =
-      manifest != nullptr ? (per_run ? manifest->replications : 1)
-                          : max_rep + 1;
-  if (rows.empty() || points_seen.size() != want_points) {
-    throw std::runtime_error(
-        "merge_outputs: merged inputs cover " +
-        std::to_string(points_seen.size()) + " of " +
-        std::to_string(want_points) +
-        " points; a shard output is missing or incomplete");
-  }
-  for (const auto& [point, count] : reps_per_point) {
-    if (count != want_reps) {
-      throw std::runtime_error(
-          "merge_outputs: point " + std::to_string(point) + " has " +
-          std::to_string(count) + " of " + std::to_string(want_reps) +
-          " replication rows; a shard output is incomplete");
-    }
-  }
-
-  const std::string tmp = out_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("merge_outputs: cannot write " + tmp);
-    out << header_line << '\n';
-    for (const auto& [key, line] : rows) {
-      (void)key;
-      out << line << '\n';
-    }
-  }
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    throw std::runtime_error("merge_outputs: cannot replace " + out_path);
-  }
-  return rows.size();
-}
+}  // namespace
 
 /// Streaming merge: every input is read once through a k-way heap merge by
-/// (point, rep), holding one row per input — O(inputs) memory instead of
-/// O(rows). Inputs must be internally sorted (finalized/compacted outputs
-/// always are); an unsorted input raises UnsortedInputError and the caller
-/// falls back to the buffered path.
-std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
-                                    const std::string& out_path,
-                                    const Manifest* manifest) {
+/// (point, rep), holding one row per input — O(inputs) memory. Inputs must
+/// be internally sorted (finalized/compacted/exported outputs always are);
+/// an unsorted or self-duplicating input is rejected.
+std::size_t merge_outputs(const std::vector<std::string>& inputs,
+                          const std::string& out_path,
+                          const Manifest* manifest) {
+  if (inputs.empty()) {
+    throw std::invalid_argument("merge_outputs: no input files");
+  }
   const MergeExpectations expect = merge_expectations(manifest);
 
   struct Input {
@@ -1183,7 +903,7 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     if (!input->in) {
       throw std::runtime_error("merge_outputs: cannot open " + path);
     }
-    // Header line (skipping leading blanks, as the buffered path does).
+    // Header line (skipping leading blanks).
     std::string line;
     bool have_header = false;
     while (std::getline(input->in, line)) {
@@ -1214,9 +934,9 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     throw std::runtime_error("merge_outputs: inputs contain no header");
   }
 
-  // Advances an input to its next valid data row; runs the same per-row
-  // validation as the buffered path and enforces ascending (point, rep)
-  // within the input.
+  // Advances an input to its next valid data row: cell count, key and
+  // manifest identity checks, then strictly ascending (point, rep) within
+  // the input.
   const auto advance = [&](Input& input) -> bool {
     std::string line;
     while (std::getline(input.in, line)) {
@@ -1237,10 +957,20 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
         check_manifest_row(cells, point, rep, per_run, input.path, *manifest,
                            expect.grid);
       }
-      if (input.started &&
-          std::make_pair(point, rep) <=
-              std::make_pair(input.point, input.rep)) {
-        throw UnsortedInputError{};
+      if (input.started && std::make_pair(point, rep) <=
+                               std::make_pair(input.point, input.rep)) {
+        const std::string where =
+            "point " + std::to_string(point) +
+            (per_run ? " replication " + std::to_string(rep) : std::string());
+        if (point == input.point && rep == input.rep) {
+          throw std::runtime_error("merge_outputs: " + where +
+                                   " appears twice in " + input.path +
+                                   " (duplicate row)");
+        }
+        throw std::runtime_error(
+            "merge_outputs: " + input.path + " is not sorted (" +
+            where + " follows point " + std::to_string(input.point) +
+            "); resume that shard with --resume to re-export it in order");
       }
       input.started = true;
       input.point = point;
@@ -1286,7 +1016,7 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
         throw std::runtime_error(
             "merge_outputs: point " + std::to_string(point) + " has " +
             std::to_string(cur_reps) + " of " + std::to_string(want) +
-            " replication rows; a shard output is incomplete");
+            " replication rows; a shard output is incomplete" + kUnsortedHint);
       }
     };
 
@@ -1310,7 +1040,8 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
               std::to_string(points_seen) + " points up to " +
               std::to_string(prev_point == SIZE_MAX ? 0 : prev_point) +
               " but point " + std::to_string(want_next) +
-              " is missing; a shard output is missing or incomplete");
+              " is missing; a shard output is missing or incomplete" +
+              kUnsortedHint);
         }
         ++points_seen;
         cur_reps = 0;
@@ -1322,7 +1053,8 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
         throw std::runtime_error(
             "merge_outputs: point " + std::to_string(point) + " has " +
             std::to_string(cur_reps) + " of " + std::to_string(rep + 1) +
-            " replication rows; a shard output is incomplete");
+            " replication rows; a shard output is incomplete" +
+            kUnsortedHint);
       }
       prev_point = point;
       prev_rep = rep;
@@ -1351,21 +1083,6 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     throw std::runtime_error("merge_outputs: cannot replace " + out_path);
   }
   return merged;
-}
-
-}  // namespace
-
-std::size_t merge_outputs(const std::vector<std::string>& inputs,
-                          const std::string& out_path,
-                          const Manifest* manifest) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("merge_outputs: no input files");
-  }
-  try {
-    return merge_outputs_streaming(inputs, out_path, manifest);
-  } catch (const UnsortedInputError&) {
-    return merge_outputs_buffered(inputs, out_path, manifest);
-  }
 }
 
 }  // namespace pas::exp

@@ -1,37 +1,32 @@
 // Resumable campaign aggregation.
 //
 // The Aggregator owns the campaign's output files. Completed points stream
-// in (from any thread, in any order) and are appended to the CSV — and
-// optionally a JSON-lines file and a per-replication CSV — with a flush per
-// row, so a killed campaign leaves a valid, loadable record of everything
-// it finished. On resume the aggregator reads that record back and reports
-// which points are already done; the runner then schedules only the rest.
+// in (from any thread, in any order). Each point's rows are appended to a
+// binary ".pasrows" row store (see row_store.hpp) and flushed at the point
+// boundary, so a killed campaign leaves a valid, loadable record of
+// everything it finished; the aggregator itself keeps only O(grid)
+// completion bitmaps. On resume it reads that record back and reports which
+// points are already done; the runner then schedules only the rest.
 //
-// When every owned point is present, finalize() rewrites the files in
-// point order through a temp-file + rename, so the completed artifact is
-// byte-identical no matter how many threads produced it or how many times
-// the campaign was resumed.
+// finalize()/compact() render the CSV, JSON-lines and per-replication CSV
+// artifacts through an external-merge export — sorted spill runs of bounded
+// size, k-way merged by (point, rep) — so memory stays O(spill budget) and
+// the artifact is byte-identical no matter how many threads produced it or
+// how many times the campaign was resumed. In flight the store is the
+// ground truth (the CSV only materializes at export); finalize() deletes
+// the store, and resuming from a bare CSV seeds a fresh store through the
+// CSV readers.
+//
+// Without a CSV path (benches, examples, unit tests) nothing is written:
+// the aggregator only tracks completion and keeps the point summaries.
 //
 // Sharding: a campaign may be split across processes/machines with
 // `owned_points` — each shard aggregates only its own subset of the grid
 // into its own files, and merge_outputs() recombines the finalized shard
 // files into the exact bytes an unsharded run would have written.
-//
-// Store mode (AggregatorOptions::store_path): instead of keeping every row
-// in memory and rewriting whole CSVs, rows are appended to a binary
-// ".pasrows" log (see row_store.hpp) and the aggregator keeps only O(grid)
-// bitmaps. finalize()/compact() render the CSV/JSONL artifacts through an
-// external-merge export — sorted spill runs of bounded size, k-way merged
-// by (point, rep) — so memory stays O(spill budget) no matter how large
-// the campaign is, and the exported bytes are identical to what the
-// in-memory path writes. In flight the store is the ground truth (the CSV
-// only materializes at export); a finalized campaign deletes the store and
-// looks exactly like a legacy one, and resuming from a bare CSV seeds a
-// fresh store through the legacy readers, so both histories interoperate.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -64,7 +59,7 @@ struct PointSummary {
 struct AggregatorOptions {
   /// CSV output path; empty aggregates in memory only (benches, tests).
   std::string csv_path;
-  /// Optional JSON-lines mirror of every row.
+  /// Optional JSON-lines mirror of every row; requires csv_path.
   std::string json_path;
   /// Optional per-replication CSV (one row per run); requires
   /// `replications` so resume can tell complete groups from torn ones.
@@ -81,9 +76,8 @@ struct AggregatorOptions {
   /// pending()/finalize() consider only owned points, and resume rejects
   /// rows for foreign points (they signal a wrong --shard/--out pairing).
   std::vector<std::size_t> owned_points;
-  /// Binary row-store path (conventionally RowStore::path_for(csv_path)).
-  /// Non-empty switches the aggregator to bounded-memory store mode;
-  /// empty keeps the legacy in-memory row maps. Requires csv_path.
+  /// Binary row-store location; empty means RowStore::path_for(csv_path).
+  /// Setting it requires csv_path.
   std::string store_path;
   /// Spill-buffer budget for the external-merge export, in bytes.
   /// 0 selects the default (32 MiB); tests shrink it to force multi-run
@@ -116,28 +110,30 @@ class Aggregator {
   /// Owned indices with no row yet, ascending.
   [[nodiscard]] std::vector<std::size_t> pending() const;
 
-  /// Records one completed point. Thread-safe; appends + flushes so the row
-  /// survives a kill. `axis_values` must align with the axis_names given at
-  /// construction.
+  /// Records one completed point. Thread-safe; appends + flushes to the row
+  /// store so the point survives a kill. `axis_values` must align with the
+  /// axis_names given at construction.
   void record(std::size_t point, std::uint64_t seed,
               const std::vector<std::string>& axis_values,
               const world::ReplicatedMetrics& m);
 
-  /// Rewrites the output files in point order (temp file + atomic rename).
-  /// Requires every owned point recorded; throws std::logic_error otherwise.
+  /// Exports the output files in point order (temp file + atomic rename)
+  /// and deletes the row store. Requires every owned point recorded; throws
+  /// std::logic_error otherwise.
   void finalize();
 
-  /// finalize() without the completeness requirement: rewrites whatever is
-  /// recorded so far in point order and reopens the files for appending.
-  /// Orchestrator workers call this on clean shutdown so a part file is
-  /// always sorted and free of torn rows even though the worker owns only
-  /// the leases it happened to receive.
+  /// finalize() without the completeness requirement: exports whatever is
+  /// recorded so far in point order and keeps the store. Orchestrator
+  /// workers call this on clean shutdown so a part file is always sorted
+  /// and free of torn rows even though the worker owns only the leases it
+  /// happened to receive.
   void compact();
 
-  /// Forgets the given points (recorded or recovered) and rewrites the
-  /// files without them. The orchestrator's crash recovery uses this to
-  /// drop rows that a dead worker wrote for a point another worker already
-  /// completed — the duplicate would otherwise poison merge_outputs().
+  /// Forgets the given points (recorded or recovered) by appending
+  /// tombstones to the store; the next export omits them. The
+  /// orchestrator's crash recovery uses this to drop rows that a dead
+  /// worker wrote for a point another worker already completed — the
+  /// duplicate would otherwise poison merge_outputs().
   void discard_points(const std::vector<std::size_t>& points);
 
   /// Point indices that currently have a row, ascending.
@@ -172,19 +168,12 @@ class Aggregator {
   /// The metric column names of the per-replication CSV.
   [[nodiscard]] static std::vector<std::string> per_run_metric_columns();
 
-  /// True when this aggregator runs on the binary row store.
-  [[nodiscard]] bool store_mode() const noexcept { return !store_path_.empty(); }
-
  private:
   [[nodiscard]] std::string csv_line(const std::vector<std::string>& cells) const;
   [[nodiscard]] std::string json_line(const std::vector<std::string>& cells) const;
   [[nodiscard]] bool owns(std::size_t point) const {
-    return owned_.empty() || (point < owned_.size() && owned_[point] != 0);
+    return point < total_points_ && (owned_.empty() || owned_[point] != 0);
   }
-  void open_appenders();
-  /// Rewrites the output files from `rows_`/`per_run_rows_` via temp file +
-  /// rename. Caller must hold mutex_.
-  void rewrite_files(bool require_complete);
   /// Shared resume-file reader: header validation, torn-row dropping,
   /// bounds and shard-ownership checks; `on_row` receives each surviving
   /// row's (point, rep, cells) — rep is 0 when key_arity is 1.
@@ -193,15 +182,18 @@ class Aggregator {
       const char* flag_hint, std::size_t key_arity,
       const std::function<void(std::size_t, std::size_t,
                                std::vector<std::string>)>& on_row);
-  void load_point_rows();
-  void load_per_run_rows();
-  /// Store mode: creates/opens the store lazily. Caller must hold mutex_.
+  /// point → summary row cells.
+  std::map<std::size_t, std::vector<std::string>> load_point_rows();
+  /// point → replication → per-run row cells.
+  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
+  load_per_run_rows();
+  /// Creates/opens the store lazily. Caller must hold mutex_.
   void ensure_store();
-  /// Store mode load_existing: scans the store into the done bitmap, or
-  /// seeds a fresh store from an existing CSV (legacy/finalized artifact).
+  /// load_existing: scans the store into the done bitmap, or seeds a fresh
+  /// store from an existing CSV (a finalized or bare artifact).
   std::size_t load_store();
   std::size_t seed_store_from_csv();
-  /// Store mode finalize/compact: external-merge export of the CSV/JSONL/
+  /// finalize/compact: external-merge export of the CSV/JSONL/
   /// per-run artifacts (spill runs + k-way merge). Caller must hold mutex_.
   void export_store();
 
@@ -219,31 +211,26 @@ class Aggregator {
   std::size_t owned_count_ = 0;
 
   mutable std::mutex mutex_;
-  /// point index → full row cells (axis values + metrics), resume state.
-  std::map<std::size_t, std::vector<std::string>> rows_;
-  /// point index → replication index → per-run row cells.
-  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
-      per_run_rows_;
   std::map<std::size_t, PointSummary> summaries_;
-  std::ofstream csv_out_;
-  std::ofstream json_out_;
-  std::ofstream per_run_out_;
   bool loaded_ = false;
 
-  // Store mode state: the open row store plus O(grid) completion bitmaps —
-  // no row content is held in memory.
+  // The open row store plus an O(grid) completion bitmap — no row content
+  // is held in memory. store_path_ is empty exactly when csv_path_ is.
   std::string store_path_;
   std::size_t spill_budget_bytes_ = 0;
   std::uint64_t identity_hash_ = 0;
   std::unique_ptr<RowStore> store_;
-  std::vector<std::uint8_t> store_done_;
-  std::size_t store_done_count_ = 0;
+  std::vector<std::uint8_t> done_;
+  std::size_t done_count_ = 0;
 };
 
 /// Recombines finalized shard outputs into `out_path`, byte-identical to
 /// the file an unsharded run would have produced. All inputs must carry an
-/// identical header; every (point, rep) may appear in exactly one input;
-/// the merged point set must be gap-free from 0. Works for both the
+/// identical header and list their rows in ascending (point, rep) order, as
+/// finalize(), compact() and --export write them; an unsorted input is
+/// rejected (resuming its campaign re-exports it sorted). Every
+/// (point, rep) may appear in exactly one input, and the merged point set
+/// must be gap-free from 0. Works for both the
 /// point-summary CSV and the per-run CSV (recognized by its "rep" column).
 ///
 /// When `manifest` is non-null the merge additionally validates the inputs

@@ -1,4 +1,4 @@
-// Aggregator: incremental CSV/JSON output, resume recovery, finalize.
+// Aggregator: durable row-store recording, resume recovery, CSV/JSON export.
 #include "exp/aggregate.hpp"
 
 #include <gtest/gtest.h>
@@ -62,14 +62,21 @@ TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
   Aggregator agg(csv_, "", {"policy"}, 3);
   EXPECT_EQ(agg.load_existing(), 0U);
   agg.record(1, 111, {"SAS"}, fake_metrics(2.0));
-  // One row is on disk (flushed) before the campaign completes.
-  auto lines = read_lines(csv_);
-  ASSERT_EQ(lines.size(), 2U);
-  EXPECT_EQ(lines[0].substr(0, 11), "point,seed,");
-  EXPECT_EQ(lines[1].substr(0, 6), "1,111,");
   EXPECT_FALSE(agg.is_done(0));
   EXPECT_TRUE(agg.is_done(1));
   EXPECT_EQ(agg.pending(), (std::vector<std::size_t>{0, 2}));
+  // The row is on disk (flushed to the row store) before the campaign
+  // completes, while the first aggregator is still alive: a second one
+  // resumes it as done and renders header plus row.
+  Aggregator resumed(csv_, "", {"policy"}, 3);
+  EXPECT_EQ(resumed.load_existing(), 1U);
+  EXPECT_TRUE(resumed.is_done(1));
+  EXPECT_EQ(resumed.pending(), (std::vector<std::size_t>{0, 2}));
+  resumed.compact();
+  const auto lines = read_lines(csv_);
+  ASSERT_EQ(lines.size(), 2U);
+  EXPECT_EQ(lines[0].substr(0, 11), "point,seed,");
+  EXPECT_EQ(lines[1].substr(0, 6), "1,111,");
 }
 
 TEST_F(AggregateTest, ResumeSkipsCompletedPoints) {
@@ -103,7 +110,10 @@ TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
     Aggregator agg(csv_, "", {"policy"}, 3);
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
+    agg.compact();
   }
+  // A bare CSV (no row store beside it) resumes through the CSV readers.
+  ASSERT_TRUE(fs::remove(RowStore::path_for(csv_)));
   {
     // Simulate a kill mid-write: append half a row.
     std::ofstream out(csv_, std::ios::app);
@@ -113,6 +123,7 @@ TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
   EXPECT_EQ(resumed.load_existing(), 1U);
   EXPECT_FALSE(resumed.is_done(1));
   // The compacted file no longer carries the damaged point-1 line.
+  resumed.compact();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);  // header + intact row 0
   EXPECT_EQ(lines[1].substr(0, 2), "0,");
@@ -155,6 +166,7 @@ TEST_F(AggregateTest, NonFiniteMetricsBecomeJsonNull) {
   auto m = fake_metrics(std::numeric_limits<double>::quiet_NaN());
   m.energy_j.mean = std::numeric_limits<double>::infinity();
   agg.record(0, 100, {"PAS"}, m);
+  agg.finalize();
   const auto lines = read_lines(jsonl);
   ASSERT_EQ(lines.size(), 1U);
   EXPECT_NE(lines[0].find("\"delay_mean_s\":null"), std::string::npos);
@@ -250,7 +262,9 @@ TEST_F(AggregateTest, ResumeDropsPointsWithTornPerRunGroups) {
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
     agg.record(1, 101, {"PAS"}, fake_metrics(1.0));
+    agg.finalize();  // retires the row store: the CSVs are all that is left
   }
+  ASSERT_FALSE(fs::exists(RowStore::path_for(csv_)));
   // Tear point 1's per-run group (as if killed mid-write): its summary row
   // must not count as done on resume.
   {
@@ -264,6 +278,7 @@ TEST_F(AggregateTest, ResumeDropsPointsWithTornPerRunGroups) {
   EXPECT_TRUE(resumed.is_done(0));
   EXPECT_FALSE(resumed.is_done(1));
   // The compacted per-run file dropped the torn group entirely.
+  resumed.compact();
   EXPECT_EQ(read_lines(runs_csv).size(), 3U);
 }
 
@@ -274,6 +289,7 @@ TEST_F(AggregateTest, MainCsvCarriesDelayPercentileColumns) {
   m.runs[0].avg_delay_s = 1.0;
   m.runs[1].avg_delay_s = 3.0;
   agg.record(0, 100, {"PAS"}, m);
+  agg.finalize();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);
   EXPECT_NE(lines[0].find("delay_p50_s,delay_p95_s,delay_p99_s"),
@@ -292,18 +308,21 @@ TEST_F(AggregateTest, InMemoryAggregationNeedsNoFiles) {
   agg.load_existing();
   agg.record(0, 1, {"NS"}, fake_metrics(0.0));
   agg.record(1, 2, {"PAS"}, fake_metrics(1.0));
+  // A point beyond the grid is a scheduling bug, not a new row.
+  EXPECT_THROW(agg.record(2, 3, {"SAS"}, fake_metrics(1.0)),
+               std::logic_error);
   agg.finalize();
   EXPECT_EQ(agg.done_count(), 2U);
   EXPECT_EQ(agg.summaries().at(1).delay_s.mean, 1.0);
   EXPECT_TRUE(fs::directory_iterator(dir_) == fs::directory_iterator());
 }
 
-// --- Store mode -------------------------------------------------------------
+// --- Row store and export ---------------------------------------------------
 
 class StoreAggregateTest : public AggregateTest {
  protected:
-  /// Deterministic per-(point, rep) metrics so the legacy and store paths
-  /// see identical inputs — any byte difference is then a pipeline bug.
+  /// Deterministic per-(point, rep) metrics, so the exported bytes are a
+  /// pure function of the campaign — any byte difference is a pipeline bug.
   static world::ReplicatedMetrics synth_metrics(std::size_t point,
                                                 std::size_t reps) {
     world::ReplicatedMetrics m = fake_metrics(
@@ -335,36 +354,63 @@ class StoreAggregateTest : public AggregateTest {
     options.spill_budget_bytes = spill_budget;
     return options;
   }
+
+  /// FNV-1a over a file's bytes.
+  static std::uint64_t file_digest(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    char c = 0;
+    while (in.get(c)) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001B3ULL;
+    }
+    return h;
+  }
 };
 
-TEST_F(StoreAggregateTest, OracleMatchesLegacyByteForByte) {
+TEST_F(StoreAggregateTest, ExportMatchesPinnedLegacyDigests) {
   constexpr std::size_t kPoints = 37;
   constexpr std::size_t kReps = 3;
-  auto legacy_options = store_options("legacy", kPoints, kReps, 0);
-  legacy_options.store_path.clear();  // the in-memory oracle
-  // A tiny spill budget forces many sorted runs and a genuine k-way merge
-  // even on this small campaign.
-  const auto store_opts = store_options("store", kPoints, kReps, 512);
-  Aggregator legacy(std::move(legacy_options));
-  Aggregator store{AggregatorOptions(store_opts)};
-  legacy.load_existing();
-  store.load_existing();
-  // Record in a scrambled (but deterministic) completion order.
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    const std::size_t p = (i * 17) % kPoints;
-    const auto m = synth_metrics(p, kReps);
-    legacy.record(p, 1000 + p, {std::to_string(p)}, m);
-    store.record(p, 1000 + p, {std::to_string(p)}, m);
+  // Digests (and sizes) of this campaign's artifacts as the pre-store
+  // in-memory aggregator wrote them; the export must reproduce them byte
+  // for byte.
+  struct Pinned {
+    const char* name;
+    std::uint64_t digest;
+    std::uintmax_t size;
+  };
+  constexpr Pinned kPinned[] = {
+      {"out.csv", 0xc96c2eff8eb9d450ULL, 3053},
+      {"out.jsonl", 0x1b096fab23e0feceULL, 12199},
+      {"runs.csv", 0xa9e5f502e1fdd501ULL, 4207},
+  };
+  // The default budget exports from one in-memory batch; a tiny one forces
+  // many sorted spill runs and a genuine k-way merge even on this small
+  // campaign.
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{512}}) {
+    const std::string sub = "budget" + std::to_string(budget);
+    const auto options = store_options(sub, kPoints, kReps, budget);
+    Aggregator agg{AggregatorOptions(options)};
+    agg.load_existing();
+    // Record in a scrambled (but deterministic) completion order.
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      const std::size_t p = (i * 17) % kPoints;
+      agg.record(p, 1000 + p, {std::to_string(p)}, synth_metrics(p, kReps));
+    }
+    agg.finalize();
+    for (const auto& pin : kPinned) {
+      const fs::path path = dir_ / sub / pin.name;
+      EXPECT_EQ(fs::file_size(path), pin.size) << sub << "/" << pin.name;
+      EXPECT_EQ(file_digest(path), pin.digest) << sub << "/" << pin.name;
+    }
+    // finalize retires the store: the completed campaign is just its CSVs.
+    EXPECT_FALSE(fs::exists(options.store_path));
   }
-  legacy.finalize();
-  store.finalize();
-  for (const char* name : {"out.csv", "out.jsonl", "runs.csv"}) {
-    const auto a = read_lines((dir_ / "legacy" / name).string());
-    const auto b = read_lines((dir_ / "store" / name).string());
-    EXPECT_EQ(a, b) << name;
+  for (const auto& pin : kPinned) {
+    EXPECT_EQ(read_lines((dir_ / "budget0" / pin.name).string()),
+              read_lines((dir_ / "budget512" / pin.name).string()))
+        << pin.name;
   }
-  // finalize retires the store: the completed campaign looks legacy.
-  EXPECT_FALSE(fs::exists(store_opts.store_path));
 }
 
 TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
@@ -433,7 +479,7 @@ TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {
     agg.finalize();
   }
   const auto finalized = read_lines(options.csv_path);
-  // Resume over the finalized artifact: no store on disk, so the legacy
+  // Resume over the finalized artifact: no store on disk, so the CSV
   // readers seed a fresh one; everything is already done.
   Aggregator resumed{AggregatorOptions(options)};
   EXPECT_EQ(resumed.load_existing(), 2U);
@@ -449,6 +495,12 @@ TEST_F(StoreAggregateTest, StoreModeRequiresCsvPath) {
   options.total_points = 1;
   options.store_path = (dir_ / "orphan.pasrows").string();
   EXPECT_THROW(Aggregator{std::move(options)}, std::logic_error);
+  // The JSON-lines mirror comes out of the same export as the CSV.
+  AggregatorOptions json_only;
+  json_only.json_path = (dir_ / "orphan.jsonl").string();
+  json_only.axis_names = {"x"};
+  json_only.total_points = 1;
+  EXPECT_THROW(Aggregator{std::move(json_only)}, std::logic_error);
 }
 
 TEST_F(StoreAggregateTest, FinalizeRejectsIncompleteCampaignBeforeExport) {
@@ -480,6 +532,7 @@ TEST_F(AggregateTest, SketchQuantilesEngageBeyondExactThreshold) {
     m.delay_digest.add(m.runs[r].avg_delay_s);
   }
   agg.record(0, 100, {"PAS"}, m);
+  agg.finalize();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);
   const std::string want = "," + io::format_double(m.delay_digest.quantile(0.50)) +

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 
 #include "exp/aggregate.hpp"
 #include "exp/runner.hpp"
@@ -49,6 +52,37 @@ class ShardTest : public ::testing::Test {
   }
 
   std::string path(const char* name) const { return (dir_ / name).string(); }
+
+  /// Rewrites a CSV's data rows (the header stays first) through `edit`.
+  static void edit_rows(const std::string& file,
+                        const std::function<void(std::vector<std::string>&)>&
+                            edit) {
+    std::vector<std::string> rows;
+    std::string header;
+    {
+      std::ifstream in(file);
+      std::getline(in, header);
+      std::string line;
+      while (std::getline(in, line)) rows.push_back(line);
+    }
+    edit(rows);
+    std::ofstream out(file, std::ios::trunc);
+    out << header << '\n';
+    for (const auto& row : rows) out << row << '\n';
+  }
+
+  /// The std::runtime_error message a merge raises; fails the test if it
+  /// succeeds or throws anything else.
+  static std::string merge_error(const std::vector<std::string>& inputs,
+                                 const std::string& out) {
+    try {
+      (void)merge_outputs(inputs, out);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "merge_outputs accepted the inputs";
+    return {};
+  }
 
   /// Runs one shard of the manifest; returns the report.
   CampaignReport run_shard(const Manifest& m, std::size_t index,
@@ -184,6 +218,90 @@ TEST_F(ShardTest, MergeRejectsTruncatedRow) {
   EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
                                    path("out.csv")),
                std::runtime_error);
+}
+
+// An unsorted input shows up in the merged stream as a gap or a short
+// replication group before its own order check runs, so those errors name
+// the unsorted case and its recovery too.
+TEST_F(ShardTest, MergeRejectsReversedShard) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"));
+  run_shard(m, 1, 2, path("s1.csv"));
+  edit_rows(path("s0.csv"), [](std::vector<std::string>& rows) {
+    std::reverse(rows.begin(), rows.end());
+  });
+  const auto error = merge_error({path("s0.csv"), path("s1.csv")},
+                                 path("out.csv"));
+  EXPECT_NE(error.find("not sorted"), std::string::npos) << error;
+  EXPECT_NE(error.find("--resume"), std::string::npos) << error;
+  EXPECT_FALSE(fs::exists(path("out.csv")));
+}
+
+TEST_F(ShardTest, MergeRejectsSwappedPointRows) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"));
+  run_shard(m, 1, 2, path("s1.csv"));
+  edit_rows(path("s1.csv"), [](std::vector<std::string>& rows) {
+    std::swap(rows[1], rows[2]);  // points 3 and 5
+  });
+  const auto error = merge_error({path("s0.csv"), path("s1.csv")},
+                                 path("out.csv"));
+  EXPECT_NE(error.find("not sorted"), std::string::npos) << error;
+  EXPECT_NE(error.find("--resume"), std::string::npos) << error;
+}
+
+TEST_F(ShardTest, MergeRejectsSwappedReplications) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"));
+  run_shard(m, 1, 2, path("s1.csv"), path("s1_runs.csv"));
+  edit_rows(path("s0_runs.csv"), [](std::vector<std::string>& rows) {
+    std::swap(rows[0], rows[1]);  // point 0, replications 0 and 1
+  });
+  const auto error = merge_error({path("s0_runs.csv"), path("s1_runs.csv")},
+                                 path("out_runs.csv"));
+  EXPECT_NE(error.find("not sorted"), std::string::npos) << error;
+  EXPECT_NE(error.find("--resume"), std::string::npos) << error;
+}
+
+TEST_F(ShardTest, MergeReportsDuplicateRowWithinOneInput) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"));
+  run_shard(m, 1, 2, path("s1.csv"));
+  edit_rows(path("s1.csv"), [](std::vector<std::string>& rows) {
+    rows.insert(rows.begin() + 1, rows[1]);  // point 3 twice
+  });
+  const auto error = merge_error({path("s0.csv"), path("s1.csv")},
+                                 path("out.csv"));
+  EXPECT_NE(error.find("point 3 appears twice in " + path("s1.csv")),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("overlapping"), std::string::npos) << error;
+}
+
+TEST_F(ShardTest, ResumeReExportsUnsortedShardSorted) {
+  const Manifest m = small_manifest();
+  CampaignOptions full;
+  full.jobs = 1;
+  full.out_csv = path("full.csv");
+  full.per_run_csv = path("full_runs.csv");
+  run_campaign(m, full);
+  run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"));
+  run_shard(m, 1, 2, path("s1.csv"), path("s1_runs.csv"));
+  // A bare, complete but unsorted shard (no row store beside it).
+  for (const char* name : {"s0.csv", "s0_runs.csv"}) {
+    edit_rows(path(name), [](std::vector<std::string>& rows) {
+      std::reverse(rows.begin(), rows.end());
+    });
+  }
+  const auto report = run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"),
+                                /*resume=*/true);
+  EXPECT_EQ(report.computed, 0U);
+  EXPECT_EQ(report.skipped, 3U);
+  merge_outputs({path("s0.csv"), path("s1.csv")}, path("merged.csv"), &m);
+  merge_outputs({path("s0_runs.csv"), path("s1_runs.csv")},
+                path("merged_runs.csv"), &m);
+  EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+  EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
 }
 
 TEST_F(ShardTest, MergeRejectsMismatchedHeaders) {
