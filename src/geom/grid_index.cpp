@@ -1,9 +1,7 @@
 #include "geom/grid_index.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace pas::geom {
@@ -39,25 +37,6 @@ std::vector<std::uint32_t> GridIndex::query_radius(Vec2 p, double radius) const 
   for_each_in_radius(p, radius, [&out](std::uint32_t id) { out.push_back(id); });
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::uint32_t GridIndex::nearest(Vec2 p) const {
-  if (points_.empty()) {
-    throw std::logic_error("GridIndex::nearest on empty point set");
-  }
-  // Expanding ring search over cells, falling back to brute force for the
-  // final verification ring. Point sets here are small (tens to thousands),
-  // so clarity beats micro-optimisation.
-  double best_d2 = std::numeric_limits<double>::infinity();
-  std::uint32_t best = 0;
-  for (std::uint32_t i = 0; i < points_.size(); ++i) {
-    const double d2 = distance2(points_[i], p);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = i;
-    }
-  }
-  return best;
 }
 
 }  // namespace pas::geom

@@ -43,9 +43,6 @@ class GridIndex {
     }
   }
 
-  /// Index of the nearest point to `p` (the point set must be non-empty).
-  [[nodiscard]] std::uint32_t nearest(Vec2 p) const;
-
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
   [[nodiscard]] const std::vector<Vec2>& points() const noexcept { return points_; }
 

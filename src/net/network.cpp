@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 #include "geom/aabb.hpp"
@@ -186,26 +185,6 @@ double Network::mean_degree() const noexcept {
   std::size_t total = 0;
   for (const auto& n : neighbors_) total += n.size();
   return static_cast<double>(total) / static_cast<double>(neighbors_.size());
-}
-
-bool Network::connected() const {
-  std::vector<char> seen(positions_.size(), 0);
-  std::queue<std::uint32_t> frontier;
-  frontier.push(0);
-  seen[0] = 1;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.front();
-    frontier.pop();
-    for (const std::uint32_t next : neighbors_[cur]) {
-      if (seen[next] == 0) {
-        seen[next] = 1;
-        ++visited;
-        frontier.push(next);
-      }
-    }
-  }
-  return visited == positions_.size();
 }
 
 }  // namespace pas::net

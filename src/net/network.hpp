@@ -128,9 +128,6 @@ class Network {
   /// Mean neighbor count — deployment density diagnostic.
   [[nodiscard]] double mean_degree() const noexcept;
 
-  /// True when the range graph is connected (BFS from node 0).
-  [[nodiscard]] bool connected() const;
-
  private:
   /// Delivers the in-flight frame in `slot` to its sender's neighbors and
   /// returns the slot to the free list.

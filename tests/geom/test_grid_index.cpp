@@ -84,29 +84,5 @@ TEST(GridIndex, ForEachVisitsSameSetAsQuery) {
   EXPECT_EQ(visited, idx.query_radius({15.0, 15.0}, 8.0));
 }
 
-TEST(GridIndex, NearestFindsClosest) {
-  const auto pts = random_points(200, Aabb::square(20.0), 9);
-  const GridIndex idx(pts, Aabb::square(20.0), 2.0);
-  sim::Pcg32 rng(2, 2);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Vec2 q{rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)};
-    const std::uint32_t got = idx.nearest(q);
-    double best = 1e300;
-    std::uint32_t want = 0;
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (distance2(pts[i], q) < best) {
-        best = distance2(pts[i], q);
-        want = i;
-      }
-    }
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(GridIndex, NearestOnEmptySetThrows) {
-  const GridIndex idx({}, Aabb::square(1.0), 1.0);
-  EXPECT_THROW((void)idx.nearest({0.0, 0.0}), std::logic_error);
-}
-
 }  // namespace
 }  // namespace pas::geom

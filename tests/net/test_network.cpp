@@ -121,10 +121,6 @@ TEST_F(NetworkFixture, EnergyHooksFire) {
   ASSERT_EQ(rx.size(), 2U);  // nodes 0 and 2
 }
 
-TEST_F(NetworkFixture, ChainIsConnected) {
-  EXPECT_TRUE(network.connected());
-}
-
 // Four mutually in-range nodes whose grid-cell order differs from id order
 // (nodes 1-3 share the first 10 m cell, node 0 sits in the next one), with
 // zero MAC jitter so same-instant broadcasts deliver at the same time.
@@ -235,15 +231,6 @@ TEST_F(FanOutFixture, OneKernelEventPerBroadcast) {
   simulator.run();
   EXPECT_EQ(simulator.executed_events(), 2U);
   EXPECT_EQ(network.stats().deliveries, 6U);
-}
-
-TEST(Network, DisconnectedTopologyDetected) {
-  sim::Simulator simulator;
-  const sim::SeedSequence seeds(1);
-  const std::vector<geom::Vec2> positions{{0.0, 0.0}, {100.0, 0.0}};
-  Network network(simulator, positions, RadioConfig{},
-                  std::make_shared<PerfectChannel>(), seeds);
-  EXPECT_FALSE(network.connected());
 }
 
 TEST(Network, LossyChannelDropsStatistically) {

@@ -1,13 +1,12 @@
 // Stress and differential tests for the ladder/calendar pending-set index.
 //
-// Everything here runs against whichever index the build compiled in: the
-// default ladder or the PAS_EVENTQ_HEAP binary heap. The dispatch-order
-// contract is identical for both — strict (time, seq) with seq assigned in
-// push order — so the same assertions double as the differential check: CI
-// builds both variants and runs this suite under each, and the randomized
-// oracle below pins the exact (time, token) dispatch sequence that the two
-// builds must share. Ladder-only shape-counter assertions are guarded with
-// #ifndef PAS_EVENTQ_HEAP.
+// The dispatch-order contract is strict (time, seq) with seq assigned in
+// push order. RandomizedOpsMatchReferenceModel is the differential oracle:
+// it drives the queue and a brute-force reference model (a flat list
+// scanned for the minimum) through the same random push/cancel/pop/
+// run_next/clear schedule and requires the same cancel() results, size(),
+// next_time() and dispatch order at every step. The remaining tests pin
+// edge cases of the ladder's regions and its shape counters.
 
 #include "sim/event_queue.hpp"
 
@@ -192,13 +191,11 @@ TEST(EventQueueLadder, FarFutureOverflowReseedsInOrder) {
     ASSERT_LE(popped[i - 1], popped[i]) << "at index " << i;
   }
   EXPECT_DOUBLE_EQ(popped.back(), 2.0e9);
-#ifndef PAS_EVENTQ_HEAP
-  // Ladder-only: the initial reseed built a calendar over both clusters,
+  // The initial reseed built a calendar over both clusters,
   // and the dense near cluster (collapsed into one coarse bucket by the
   // 1e9-wide span) had to spawn a finer sub-rung.
   EXPECT_GE(q.stats().bucket_resizes, 1U);
   EXPECT_GE(q.stats().rung_spawns, 1U);
-#endif
 }
 
 TEST(EventQueueLadder, ReentrantPushFromCallbackKeepsSeqOrder) {
@@ -303,9 +300,7 @@ TEST(EventQueueLadder, StatsAndOrderIdenticalAcrossWarmReuse) {
   stats_eq(fresh_stats, reused.stats());
 }
 
-// --- Ladder-only shape counters -------------------------------------------
-
-#ifndef PAS_EVENTQ_HEAP
+// --- Shape counters -------------------------------------------------------
 
 TEST(EventQueueLadder, OverfullBucketSpawnsSubRung) {
   // A dense cluster inside a wide horizon: the reseed spreads 10k events
@@ -351,8 +346,6 @@ TEST(EventQueueLadder, DeadSkipsCountCancelledEntriesAtDrain) {
   while (!q.empty()) q.run_next();
   EXPECT_EQ(q.stats().dead_skips, cancelled);
 }
-
-#endif  // !PAS_EVENTQ_HEAP
 
 }  // namespace
 }  // namespace pas::sim
