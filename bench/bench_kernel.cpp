@@ -360,7 +360,6 @@ pas::exp::AggregatorOptions bench_agg_options(const std::filesystem::path& dir,
                                               std::size_t reps) {
   pas::exp::AggregatorOptions options;
   options.csv_path = (dir / "out.csv").string();
-  options.json_path = (dir / "out.jsonl").string();
   options.per_run_path = (dir / "runs.csv").string();
   options.axis_names = {"x"};
   options.total_points = points;
@@ -397,7 +396,8 @@ BENCHMARK(BM_Aggregator_Record)->Unit(benchmark::kMillisecond);
 
 void BM_Aggregator_Finalize(benchmark::State& state) {
   // External-merge finalize over a recorded store: spill sorted runs, k-way
-  // merge, stream the CSV/JSONL artifacts. Timed without the record phase.
+  // merge, stream the CSV artifacts, then render the JSONL from the point
+  // CSV as pas-exp --json does. Timed without the record phase.
   constexpr std::size_t kPoints = 2048;
   constexpr std::size_t kReps = 4;
   const auto dir = std::filesystem::temp_directory_path() / "pas_bench_agg_f";
@@ -414,6 +414,8 @@ void BM_Aggregator_Finalize(benchmark::State& state) {
       }
       state.ResumeTiming();
       agg.finalize();
+      pas::exp::render_jsonl((dir / "out.csv").string(),
+                             (dir / "out.jsonl").string());
     }
     benchmark::DoNotOptimize(dir);
   }

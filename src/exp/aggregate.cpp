@@ -136,7 +136,6 @@ std::vector<std::string> Aggregator::per_run_metric_columns() {
 
 Aggregator::Aggregator(AggregatorOptions options)
     : csv_path_(std::move(options.csv_path)),
-      json_path_(std::move(options.json_path)),
       per_run_path_(std::move(options.per_run_path)),
       axis_count_(options.axis_names.size()),
       total_points_(options.total_points),
@@ -151,11 +150,6 @@ Aggregator::Aggregator(AggregatorOptions options)
   if (!per_run_path_.empty() && replications_ == 0) {
     throw std::logic_error(
         "Aggregator: per-run output requires the replication count");
-  }
-  if (!json_path_.empty() && csv_path_.empty()) {
-    // The JSON-lines mirror is rendered by the same export as the CSV.
-    throw std::logic_error(
-        "Aggregator: JSON-lines output requires a summary CSV path");
   }
   if (!per_run_path_.empty() && csv_path_.empty()) {
     // Resume pairs per-run groups with summary rows; without the summary
@@ -203,13 +197,12 @@ Aggregator::Aggregator(AggregatorOptions options)
   done_.assign(total_points_, 0);
 }
 
-Aggregator::Aggregator(std::string csv_path, std::string json_path,
+Aggregator::Aggregator(std::string csv_path,
                        std::vector<std::string> axis_names,
                        std::size_t total_points,
                        std::vector<std::vector<std::string>> expected_identity)
     : Aggregator(AggregatorOptions{
           .csv_path = std::move(csv_path),
-          .json_path = std::move(json_path),
           .per_run_path = {},
           .axis_names = std::move(axis_names),
           .total_points = total_points,
@@ -221,28 +214,6 @@ Aggregator::Aggregator(std::string csv_path, std::string json_path,
 
 std::string Aggregator::csv_line(const std::vector<std::string>& cells) const {
   return join_csv(cells);
-}
-
-std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out.push_back('"');
-    out += columns_[i];
-    out += "\":";
-    bool non_finite = false;
-    if (is_finite_numeric_cell(cells[i], non_finite)) {
-      out += cells[i];
-    } else if (non_finite) {
-      out += "null";
-    } else {
-      out.push_back('"');
-      out += cells[i];
-      out.push_back('"');
-    }
-  }
-  out.push_back('}');
-  return out;
 }
 
 void Aggregator::load_rows_file(
@@ -537,14 +508,7 @@ void Aggregator::export_store() {
     throw std::runtime_error("Aggregator: cannot write " + csv_tmp);
   }
   csv_out << csv_line(columns_) << '\n';
-  std::ofstream json_out, per_run_out;
-  const std::string json_tmp = json_path_ + ".tmp";
-  if (!json_path_.empty()) {
-    json_out.open(json_tmp, std::ios::trunc);
-    if (!json_out) {
-      throw std::runtime_error("Aggregator: cannot write " + json_tmp);
-    }
-  }
+  std::ofstream per_run_out;
   const bool per_run = !per_run_path_.empty();
   const std::string per_run_tmp = per_run_path_ + ".tmp";
   if (per_run) {
@@ -586,7 +550,6 @@ void Aggregator::export_store() {
         }
       }
       csv_out << csv_line(summary->cells) << '\n';
-      if (json_out.is_open()) json_out << json_line(summary->cells) << '\n';
     }
     tomb_seq = 0;
     have_tomb = false;
@@ -624,12 +587,6 @@ void Aggregator::export_store() {
   csv_out.close();
   if (std::rename(csv_tmp.c_str(), csv_path_.c_str()) != 0) {
     throw std::runtime_error("Aggregator: cannot replace " + csv_path_);
-  }
-  if (json_out.is_open()) {
-    json_out.close();
-    if (std::rename(json_tmp.c_str(), json_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + json_path_);
-    }
   }
   if (per_run) {
     per_run_out.close();
@@ -1083,6 +1040,62 @@ std::size_t merge_outputs(const std::vector<std::string>& inputs,
     throw std::runtime_error("merge_outputs: cannot replace " + out_path);
   }
   return merged;
+}
+
+void render_jsonl(const std::string& point_csv, const std::string& jsonl_path) {
+  std::ifstream in(point_csv);
+  if (!in) throw std::runtime_error("render_jsonl: cannot open " + point_csv);
+  std::string line;
+  std::getline(in, line);
+  const auto header = split_csv_line(line);
+  if (header.size() < 2 || header[0] != "point" || header[1] != "seed") {
+    throw std::runtime_error("render_jsonl: " + point_csv +
+                             " is not a point CSV (its header must start "
+                             "with point,seed)");
+  }
+  const std::string tmp = jsonl_path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) throw std::runtime_error("render_jsonl: cannot write " + tmp);
+    std::string json;
+    while (std::getline(in, line)) {
+      const auto cells = split_csv_line(line);
+      if (cells.size() != header.size()) {
+        throw std::runtime_error(
+            "render_jsonl: a row of " + point_csv + " has " +
+            std::to_string(cells.size()) + " cells where the header has " +
+            std::to_string(header.size()));
+      }
+      json = "{";
+      for (std::size_t i = 0; i < header.size(); ++i) {
+        if (i > 0) json.push_back(',');
+        json.push_back('"');
+        json += header[i];
+        json += "\":";
+        bool non_finite = false;
+        if (is_finite_numeric_cell(cells[i], non_finite)) {
+          json += cells[i];
+        } else if (non_finite) {
+          json += "null";
+        } else {
+          json.push_back('"');
+          json += cells[i];
+          json.push_back('"');
+        }
+      }
+      json += "}\n";
+      out << json;
+    }
+    out.close();
+    if (!out) throw std::runtime_error("render_jsonl: cannot write " + tmp);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
+  if (std::rename(tmp.c_str(), jsonl_path.c_str()) != 0) {
+    throw std::runtime_error("render_jsonl: cannot replace " + jsonl_path);
+  }
 }
 
 }  // namespace pas::exp

@@ -8,7 +8,7 @@
 // completion bitmaps. On resume it reads that record back and reports which
 // points are already done; the runner then schedules only the rest.
 //
-// finalize()/compact() render the CSV, JSON-lines and per-replication CSV
+// finalize()/compact() render the point CSV and per-replication CSV
 // artifacts through an external-merge export — sorted spill runs of bounded
 // size, k-way merged by (point, rep) — so memory stays O(spill budget) and
 // the artifact is byte-identical no matter how many threads produced it or
@@ -24,6 +24,9 @@
 // `owned_points` — each shard aggregates only its own subset of the grid
 // into its own files, and merge_outputs() recombines the finalized shard
 // files into the exact bytes an unsharded run would have written.
+//
+// The JSON-lines artifact is not written here: render_jsonl() derives it
+// from a finalized point CSV, whichever mode produced that CSV.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +62,6 @@ struct PointSummary {
 struct AggregatorOptions {
   /// CSV output path; empty aggregates in memory only (benches, tests).
   std::string csv_path;
-  /// Optional JSON-lines mirror of every row; requires csv_path.
-  std::string json_path;
   /// Optional per-replication CSV (one row per run); requires
   /// `replications` so resume can tell complete groups from torn ones.
   std::string per_run_path;
@@ -90,8 +91,8 @@ class Aggregator {
   explicit Aggregator(AggregatorOptions options);
 
   /// Convenience constructor for the common no-shard, no-per-run case.
-  Aggregator(std::string csv_path, std::string json_path,
-             std::vector<std::string> axis_names, std::size_t total_points,
+  Aggregator(std::string csv_path, std::vector<std::string> axis_names,
+             std::size_t total_points,
              std::vector<std::vector<std::string>> expected_identity = {});
 
   /// Loads completed rows from the existing output files (resume). Throws
@@ -170,7 +171,6 @@ class Aggregator {
 
  private:
   [[nodiscard]] std::string csv_line(const std::vector<std::string>& cells) const;
-  [[nodiscard]] std::string json_line(const std::vector<std::string>& cells) const;
   [[nodiscard]] bool owns(std::size_t point) const {
     return point < total_points_ && (owned_.empty() || owned_[point] != 0);
   }
@@ -193,12 +193,11 @@ class Aggregator {
   /// store from an existing CSV (a finalized or bare artifact).
   std::size_t load_store();
   std::size_t seed_store_from_csv();
-  /// finalize/compact: external-merge export of the CSV/JSONL/
+  /// finalize/compact: external-merge export of the point CSV and
   /// per-run artifacts (spill runs + k-way merge). Caller must hold mutex_.
   void export_store();
 
   std::string csv_path_;
-  std::string json_path_;
   std::string per_run_path_;
   std::size_t axis_count_ = 0;
   std::size_t total_points_ = 0;
@@ -243,5 +242,15 @@ class Aggregator {
 std::size_t merge_outputs(const std::vector<std::string>& inputs,
                           const std::string& out_path,
                           const Manifest* manifest = nullptr);
+
+/// Renders a finalized point CSV as JSON lines: one object per data row,
+/// keys in column order; a cell that parses whole as a finite number is
+/// emitted raw, "nan"/"inf" as null, anything else as a string. Streams one
+/// row at a time into `<jsonl_path>.tmp`, then renames it into place.
+/// Throws std::runtime_error, leaving neither the temp file nor a partial
+/// output, if `point_csv` cannot be read, its header does not start with
+/// "point,seed" (e.g. a per-run CSV), or a row's cell count differs from
+/// the header's.
+void render_jsonl(const std::string& point_csv, const std::string& jsonl_path);
 
 }  // namespace pas::exp

@@ -4,7 +4,7 @@
 // compact binary log instead of being kept as in-memory string maps. Each
 // record carries its kind (per-run row, point summary, or tombstone), its
 // (point, rep) key, and the row's cell strings verbatim, so the export step
-// renders the CSV/JSONL bytes from them without reformatting anything.
+// renders the CSV bytes from them without reformatting anything.
 //
 // Layout:
 //   header   = "PASROWS1" (8 bytes) + u64 identity hash (little-endian)

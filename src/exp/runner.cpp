@@ -171,9 +171,8 @@ CampaignReport run_campaign(const Manifest& manifest,
                                      ? std::string()
                                      : RowStore::path_for(options.out_csv);
   if (!options.resume) {
-    for (const auto& path : {options.out_csv, options.out_json,
-                             options.per_run_csv, options.metrics_path,
-                             store_path}) {
+    for (const auto& path : {options.out_csv, options.per_run_csv,
+                             options.metrics_path, store_path}) {
       if (!path.empty() && std::filesystem::exists(path)) {
         throw std::runtime_error("run_campaign: " + path +
                                  " exists; pass resume to continue it or "
@@ -190,7 +189,6 @@ CampaignReport run_campaign(const Manifest& manifest,
 
   AggregatorOptions agg_options;
   agg_options.csv_path = options.out_csv;
-  agg_options.json_path = options.out_json;
   agg_options.per_run_path = options.per_run_csv;
   agg_options.axis_names = axis_columns(manifest);
   agg_options.total_points = points.size();

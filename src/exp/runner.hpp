@@ -41,8 +41,6 @@ struct CampaignOptions {
   bool resume = false;
   /// CSV output path; empty aggregates in memory only (benches, tests).
   std::string out_csv;
-  /// Optional JSON-lines mirror of every row.
-  std::string out_json;
   /// Optional per-replication CSV (one row per run) for p95/p99 reporting.
   std::string per_run_csv;
   /// Optional telemetry JSONL (one row per point: kernel + protocol

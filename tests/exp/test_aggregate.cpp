@@ -1,4 +1,5 @@
-// Aggregator: durable row-store recording, resume recovery, CSV/JSON export.
+// Aggregator: durable row-store recording, resume recovery, CSV export;
+// render_jsonl: the JSON-lines rendering of a finalized point CSV.
 #include "exp/aggregate.hpp"
 
 #include <gtest/gtest.h>
@@ -59,7 +60,7 @@ class AggregateTest : public ::testing::Test {
 };
 
 TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
-  Aggregator agg(csv_, "", {"policy"}, 3);
+  Aggregator agg(csv_, {"policy"}, 3);
   EXPECT_EQ(agg.load_existing(), 0U);
   agg.record(1, 111, {"SAS"}, fake_metrics(2.0));
   EXPECT_FALSE(agg.is_done(0));
@@ -68,7 +69,7 @@ TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
   // The row is on disk (flushed to the row store) before the campaign
   // completes, while the first aggregator is still alive: a second one
   // resumes it as done and renders header plus row.
-  Aggregator resumed(csv_, "", {"policy"}, 3);
+  Aggregator resumed(csv_, {"policy"}, 3);
   EXPECT_EQ(resumed.load_existing(), 1U);
   EXPECT_TRUE(resumed.is_done(1));
   EXPECT_EQ(resumed.pending(), (std::vector<std::size_t>{0, 2}));
@@ -81,13 +82,13 @@ TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
 
 TEST_F(AggregateTest, ResumeSkipsCompletedPoints) {
   {
-    Aggregator agg(csv_, "", {"policy"}, 4);
+    Aggregator agg(csv_, {"policy"}, 4);
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
     agg.record(2, 102, {"PAS"}, fake_metrics(1.5));
   }  // "killed" campaign: rows 0 and 2 on disk
 
-  Aggregator resumed(csv_, "", {"policy"}, 4);
+  Aggregator resumed(csv_, {"policy"}, 4);
   EXPECT_EQ(resumed.load_existing(), 2U);
   EXPECT_TRUE(resumed.is_done(0));
   EXPECT_FALSE(resumed.is_done(1));
@@ -107,7 +108,7 @@ TEST_F(AggregateTest, ResumeSkipsCompletedPoints) {
 
 TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
   {
-    Aggregator agg(csv_, "", {"policy"}, 3);
+    Aggregator agg(csv_, {"policy"}, 3);
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
     agg.compact();
@@ -119,7 +120,7 @@ TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
     std::ofstream out(csv_, std::ios::app);
     out << "1,101,SAS,2,0.5";  // far fewer cells than the header
   }
-  Aggregator resumed(csv_, "", {"policy"}, 3);
+  Aggregator resumed(csv_, {"policy"}, 3);
   EXPECT_EQ(resumed.load_existing(), 1U);
   EXPECT_FALSE(resumed.is_done(1));
   // The compacted file no longer carries the damaged point-1 line.
@@ -134,12 +135,12 @@ TEST_F(AggregateTest, HeaderMismatchThrows) {
     std::ofstream out(csv_);
     out << "point,seed,wrong,columns\n";
   }
-  Aggregator agg(csv_, "", {"policy"}, 3);
+  Aggregator agg(csv_, {"policy"}, 3);
   EXPECT_THROW(agg.load_existing(), std::runtime_error);
 }
 
 TEST_F(AggregateTest, FinalizeRequiresCompleteness) {
-  Aggregator agg(csv_, "", {}, 2);
+  Aggregator agg(csv_, {}, 2);
   agg.load_existing();
   agg.record(0, 100, {}, fake_metrics(0.0));
   EXPECT_THROW(agg.finalize(), std::logic_error);
@@ -147,10 +148,11 @@ TEST_F(AggregateTest, FinalizeRequiresCompleteness) {
 
 TEST_F(AggregateTest, JsonLinesMirrorRows) {
   const std::string jsonl = (dir_ / "out.jsonl").string();
-  Aggregator agg(csv_, jsonl, {"policy"}, 1);
+  Aggregator agg(csv_, {"policy"}, 1);
   agg.load_existing();
   agg.record(0, 100, {"PAS"}, fake_metrics(2.5));
   agg.finalize();
+  render_jsonl(csv_, jsonl);
   const auto lines = read_lines(jsonl);
   ASSERT_EQ(lines.size(), 1U);
   EXPECT_NE(lines[0].find("\"policy\":\"PAS\""), std::string::npos);
@@ -161,12 +163,13 @@ TEST_F(AggregateTest, JsonLinesMirrorRows) {
 
 TEST_F(AggregateTest, NonFiniteMetricsBecomeJsonNull) {
   const std::string jsonl = (dir_ / "out.jsonl").string();
-  Aggregator agg(csv_, jsonl, {"policy"}, 1);
+  Aggregator agg(csv_, {"policy"}, 1);
   agg.load_existing();
   auto m = fake_metrics(std::numeric_limits<double>::quiet_NaN());
   m.energy_j.mean = std::numeric_limits<double>::infinity();
   agg.record(0, 100, {"PAS"}, m);
   agg.finalize();
+  render_jsonl(csv_, jsonl);
   const auto lines = read_lines(jsonl);
   ASSERT_EQ(lines.size(), 1U);
   EXPECT_NE(lines[0].find("\"delay_mean_s\":null"), std::string::npos);
@@ -176,24 +179,24 @@ TEST_F(AggregateTest, NonFiniteMetricsBecomeJsonNull) {
 
 TEST_F(AggregateTest, ResumeRejectsRowsFromDifferentManifest) {
   {
-    Aggregator agg(csv_, "", {"max_sleep_s"}, 2,
+    Aggregator agg(csv_, {"max_sleep_s"}, 2,
                    {{"100", "5"}, {"101", "10"}});
     agg.load_existing();
     agg.record(0, 100, {"5"}, fake_metrics(1.0));
   }
   // Same columns, but the campaign now expects different axis values for
   // point 0 (as if the manifest's sweep values changed).
-  Aggregator changed(csv_, "", {"max_sleep_s"}, 2,
+  Aggregator changed(csv_, {"max_sleep_s"}, 2,
                      {{"100", "7"}, {"101", "10"}});
   EXPECT_THROW(changed.load_existing(), std::runtime_error);
 
   // A changed seed_base is caught the same way.
-  Aggregator reseeded(csv_, "", {"max_sleep_s"}, 2,
+  Aggregator reseeded(csv_, {"max_sleep_s"}, 2,
                       {{"999", "5"}, {"998", "10"}});
   EXPECT_THROW(reseeded.load_existing(), std::runtime_error);
 
   // The matching manifest still resumes cleanly.
-  Aggregator same(csv_, "", {"max_sleep_s"}, 2, {{"100", "5"}, {"101", "10"}});
+  Aggregator same(csv_, {"max_sleep_s"}, 2, {{"100", "5"}, {"101", "10"}});
   EXPECT_EQ(same.load_existing(), 1U);
 }
 
@@ -283,7 +286,7 @@ TEST_F(AggregateTest, ResumeDropsPointsWithTornPerRunGroups) {
 }
 
 TEST_F(AggregateTest, MainCsvCarriesDelayPercentileColumns) {
-  Aggregator agg(csv_, "", {"policy"}, 1);
+  Aggregator agg(csv_, {"policy"}, 1);
   agg.load_existing();
   auto m = fake_metrics(2.0);
   m.runs[0].avg_delay_s = 1.0;
@@ -304,7 +307,7 @@ TEST_F(AggregateTest, MainCsvCarriesDelayPercentileColumns) {
 }
 
 TEST_F(AggregateTest, InMemoryAggregationNeedsNoFiles) {
-  Aggregator agg("", "", {"policy"}, 2);
+  Aggregator agg("", {"policy"}, 2);
   agg.load_existing();
   agg.record(0, 1, {"NS"}, fake_metrics(0.0));
   agg.record(1, 2, {"PAS"}, fake_metrics(1.0));
@@ -345,7 +348,6 @@ class StoreAggregateTest : public AggregateTest {
     fs::create_directories(dir_ / sub);
     AggregatorOptions options;
     options.csv_path = (dir_ / sub / "out.csv").string();
-    options.json_path = (dir_ / sub / "out.jsonl").string();
     options.per_run_path = (dir_ / sub / "runs.csv").string();
     options.axis_names = {"x"};
     options.total_points = total_points;
@@ -353,6 +355,15 @@ class StoreAggregateTest : public AggregateTest {
     options.store_path = RowStore::path_for(options.csv_path);
     options.spill_budget_bytes = spill_budget;
     return options;
+  }
+
+  /// finalize() plus the JSON-lines rendering pas-exp --json adds to it.
+  static void finalize_with_jsonl(Aggregator& agg,
+                                  const AggregatorOptions& options) {
+    agg.finalize();
+    render_jsonl(options.csv_path,
+                 (fs::path(options.csv_path).parent_path() / "out.jsonl")
+                     .string());
   }
 
   /// FNV-1a over a file's bytes.
@@ -397,7 +408,7 @@ TEST_F(StoreAggregateTest, ExportMatchesPinnedLegacyDigests) {
       const std::size_t p = (i * 17) % kPoints;
       agg.record(p, 1000 + p, {std::to_string(p)}, synth_metrics(p, kReps));
     }
-    agg.finalize();
+    finalize_with_jsonl(agg, options);
     for (const auto& pin : kPinned) {
       const fs::path path = dir_ / sub / pin.name;
       EXPECT_EQ(fs::file_size(path), pin.size) << sub << "/" << pin.name;
@@ -432,7 +443,7 @@ TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
   EXPECT_TRUE(resumed.is_done(0));
   EXPECT_FALSE(resumed.is_done(1));
   resumed.record(1, 101, {"1"}, synth_metrics(1, 2));
-  resumed.finalize();
+  finalize_with_jsonl(resumed, options);
 
   // The recovered campaign's artifacts equal an uninterrupted run's.
   const auto clean = store_options("clean", 2, 2, 0);
@@ -440,7 +451,7 @@ TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
   oracle.load_existing();
   oracle.record(0, 100, {"0"}, synth_metrics(0, 2));
   oracle.record(1, 101, {"1"}, synth_metrics(1, 2));
-  oracle.finalize();
+  finalize_with_jsonl(oracle, clean);
   for (const char* name : {"out.csv", "out.jsonl", "runs.csv"}) {
     EXPECT_EQ(read_lines((dir_ / "s" / name).string()),
               read_lines((dir_ / "clean" / name).string()))
@@ -495,12 +506,6 @@ TEST_F(StoreAggregateTest, StoreModeRequiresCsvPath) {
   options.total_points = 1;
   options.store_path = (dir_ / "orphan.pasrows").string();
   EXPECT_THROW(Aggregator{std::move(options)}, std::logic_error);
-  // The JSON-lines mirror comes out of the same export as the CSV.
-  AggregatorOptions json_only;
-  json_only.json_path = (dir_ / "orphan.jsonl").string();
-  json_only.axis_names = {"x"};
-  json_only.total_points = 1;
-  EXPECT_THROW(Aggregator{std::move(json_only)}, std::logic_error);
 }
 
 TEST_F(StoreAggregateTest, FinalizeRejectsIncompleteCampaignBeforeExport) {
@@ -514,13 +519,41 @@ TEST_F(StoreAggregateTest, FinalizeRejectsIncompleteCampaignBeforeExport) {
   EXPECT_TRUE(fs::exists(options.store_path));
 }
 
+TEST_F(AggregateTest, RenderJsonlRejectsMalformedInput) {
+  // Each input is rejected before a byte of JSON is published: no temp
+  // file and no (partial) output remain.
+  const std::string header = "point,seed,policy,delay_mean_s\n";
+  struct Case {
+    const char* name;
+    const char* csv;  // nullptr: the input file does not exist
+  };
+  const std::string short_row = header + "0,100,PAS,2.5\n1,101,NS\n";
+  const std::string extra_cell = header + "0,100,PAS,2.5,7\n";
+  const Case cases[] = {
+      {"missing", nullptr},
+      {"per_run", "point,rep,seed,policy,avg_delay_s\n0,0,100,PAS,2.5\n"},
+      {"short_row", short_row.c_str()},
+      {"extra_cell", extra_cell.c_str()},
+  };
+  for (const auto& c : cases) {
+    const fs::path csv = dir_ / (std::string(c.name) + ".csv");
+    const fs::path jsonl = dir_ / (std::string(c.name) + ".jsonl");
+    if (c.csv != nullptr) std::ofstream(csv) << c.csv;
+    EXPECT_THROW(render_jsonl(csv.string(), jsonl.string()),
+                 std::runtime_error)
+        << c.name;
+    EXPECT_FALSE(fs::exists(jsonl.string() + ".tmp")) << c.name;
+    EXPECT_FALSE(fs::exists(jsonl)) << c.name;
+  }
+}
+
 TEST_F(AggregateTest, SketchQuantilesEngageBeyondExactThreshold) {
   // Above the exact-quantile retention bound (256 reps) record() reads the
   // delay percentiles from the streaming digest fed by reduce_runs; with
   // the digest absent (hand-built metrics, as here) it must fall back to
   // the exact sort so partial fixtures keep working.
   constexpr std::size_t kReps = 300;
-  Aggregator agg(csv_, "", {"policy"}, 1);
+  Aggregator agg(csv_, {"policy"}, 1);
   agg.load_existing();
   world::ReplicatedMetrics m = fake_metrics(1.0);
   m.runs.resize(kReps);

@@ -283,7 +283,7 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
 // crash dumps the protocol flight recorder next to the output.
 TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {
   ::setenv("PAS_ORCH_TEST_CRASH", "0:1", 1);
-  auto o = options(2, "out.csv");
+  auto o = options(1, "out.csv");
   o.metrics_path = path("metrics.jsonl");
   const auto report = drive(manifest_, o);
   EXPECT_GE(report.crashes, 1U);

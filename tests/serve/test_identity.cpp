@@ -1,5 +1,5 @@
 // The serving contract: attaching a CampaignFeed + live Server to a
-// running campaign is observe-only — CSV/JSONL/per-run outputs are
+// running campaign is observe-only — point and per-run CSVs are
 // byte-identical to an unobserved run — and a should_stop interrupt
 // leaves outputs resumable to the same final bytes.
 #include <gtest/gtest.h>
@@ -62,7 +62,6 @@ TEST_F(ServeIdentityTest, ObservedRunIsByteIdenticalToUnobserved) {
   exp::CampaignOptions plain;
   plain.jobs = 2;
   plain.out_csv = (dir_ / "plain.csv").string();
-  plain.out_json = (dir_ / "plain.jsonl").string();
   plain.per_run_csv = (dir_ / "plain_runs.csv").string();
   const auto plain_report = exp::run_campaign(m, plain);
   EXPECT_EQ(plain_report.computed, 4U);
@@ -92,7 +91,6 @@ TEST_F(ServeIdentityTest, ObservedRunIsByteIdenticalToUnobserved) {
   exp::CampaignOptions observed;
   observed.jobs = 2;
   observed.out_csv = (dir_ / "observed.csv").string();
-  observed.out_json = (dir_ / "observed.jsonl").string();
   observed.per_run_csv = (dir_ / "observed_runs.csv").string();
   observed.feed = &feed;
   const auto observed_report = exp::run_campaign(m, observed);
@@ -104,7 +102,6 @@ TEST_F(ServeIdentityTest, ObservedRunIsByteIdenticalToUnobserved) {
   server_thread.join();
 
   EXPECT_EQ(slurp(dir_ / "plain.csv"), slurp(dir_ / "observed.csv"));
-  EXPECT_EQ(slurp(dir_ / "plain.jsonl"), slurp(dir_ / "observed.jsonl"));
   EXPECT_EQ(slurp(dir_ / "plain_runs.csv"), slurp(dir_ / "observed_runs.csv"));
 
   // The feed retained a row per point and marked the campaign done.

@@ -12,10 +12,14 @@
 //   pas-exp --manifest c.json --shard 1/2 --out s1.csv     # machine B
 //   pas-exp --merge s0.csv s1.csv --out full.csv --manifest c.json
 //
+//   # the same rows as JSON lines, in any of the modes above:
+//   pas-exp --drive 4 --manifest c.json --out out.csv --json out.jsonl
+//
 // The manifest declares the base scenario, the axes to sweep, and the
 // replication count (see src/exp/manifest.hpp for the schema). Output is
 // one CSV row per grid point (plus optional per-replication rows via
-// --per-run); --resume reloads an interrupted campaign's file and computes
+// --per-run, and a JSON-lines rendering of the finished point CSV via
+// --json); --resume reloads an interrupted campaign's file and computes
 // only the missing points. Results are independent of --jobs, --shard,
 // --rep-chunk, and --drive: the completed (merged) file is byte-identical
 // for any parallel schedule, single- or multi-process.
@@ -25,8 +29,10 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -70,48 +76,11 @@ bool parse_shard(const std::string& spec, std::size_t& index,
   return count >= 1 && index < count;
 }
 
-/// JSON string-escapes the campaign name (quotes, backslashes, control
-/// chars) so a creative manifest name cannot corrupt the bench file.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const unsigned char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(static_cast<char>(c));
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-  return out;
-}
-
-/// Appends one perf sample to the trajectory file (BENCH_orch.json in CI):
-/// flat JSON, one object per line, so runs accumulate append-only.
-void write_bench_json(const std::string& path,
-                      const pas::exp::Manifest& manifest, const char* mode,
-                      std::size_t workers, std::size_t jobs,
-                      std::size_t computed_points, double wall_s) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "pas-exp: cannot write %s\n", path.c_str());
-    return;
-  }
-  const double reps =
-      static_cast<double>(computed_points * manifest.replications);
-  std::fprintf(f,
-               "{\"campaign\":\"%s\",\"mode\":\"%s\",\"workers\":%zu,"
-               "\"jobs\":%zu,\"points\":%zu,\"replications\":%zu,"
-               "\"computed_points\":%zu,\"wall_s\":%.3f,"
-               "\"reps_per_s\":%.1f}\n",
-               json_escape(manifest.name).c_str(), mode, workers, jobs,
-               manifest.point_count(), manifest.replications, computed_points,
-               wall_s, wall_s > 0.0 ? reps / wall_s : 0.0);
-  std::fclose(f);
+/// The one JSON-lines writer of every mode: --json is rendered from the
+/// finalized point CSV, so its bytes cannot depend on how that CSV was
+/// produced (serial, --shard, --drive, --merge, --export, --agg-synth).
+void write_jsonl(const std::string& out_csv, const std::string& jsonl_out) {
+  if (!jsonl_out.empty()) pas::exp::render_jsonl(out_csv, jsonl_out);
 }
 
 }  // namespace
@@ -119,10 +88,9 @@ void write_bench_json(const std::string& path,
 int main(int argc, char** argv) {
   std::string manifest_path;
   std::string out_csv = "out.csv";
-  std::string out_json;
+  std::string jsonl_out;
   std::string per_run_csv;
   std::string shard_spec;
-  std::string bench_json;
   std::string metrics_path;
   std::string trace_path;
   std::uint64_t trace_point = 0;
@@ -148,13 +116,16 @@ int main(int argc, char** argv) {
                    "Run a scenario-grid experiment campaign from a JSON "
                    "manifest, sharded across worker threads, worker "
                    "processes (--drive), or machines (--shard), with "
-                   "resumable CSV/JSON output. --merge recombines "
-                   "finalized shard outputs.");
+                   "resumable CSV output (plus a JSON-lines rendering). "
+                   "--merge recombines finalized shard outputs.");
   cli.add_string("manifest", &manifest_path,
                  "Path to the campaign manifest (required except --merge, "
                  "where it optionally validates the shard files)");
   cli.add_string("out", &out_csv, "Output CSV path");
-  cli.add_string("json", &out_json, "Optional JSON-lines output path");
+  cli.add_string("json", &jsonl_out,
+                 "Optional JSON-lines rendering of the point CSV, written "
+                 "once --out is complete (every mode, --merge and --export "
+                 "included)");
   cli.add_string("per-run", &per_run_csv,
                  "Optional per-replication CSV (one row per run; enables "
                  "p95/p99 quantile reporting)");
@@ -183,9 +154,6 @@ int main(int argc, char** argv) {
   cli.add_flag("list-policies", &list_policies,
                "Print the registered sleeping policies (valid \"policy\" "
                "axis values) and exit");
-  cli.add_string("bench-json", &bench_json,
-                 "Append a {wall_s, reps_per_s, ...} sample to this file "
-                 "after a completed run");
   cli.add_string("metrics", &metrics_path,
                  "Per-point telemetry JSONL: kernel/protocol counters and "
                  "histograms per grid point plus a registry trailer; merges "
@@ -237,18 +205,17 @@ int main(int argc, char** argv) {
         return 2;
       }
       // Campaign-execution options have no meaning here; accepting them
-      // would let e.g. --json name a file that is never written, or
+      // would let e.g. --per-run name a file that is never written, or
       // --dry-run suggest no output gets touched when --out is overwritten.
-      if (!out_json.empty() || !per_run_csv.empty() || !shard_spec.empty() ||
-          resume || dry_run || progress || jobs != 0 || rep_chunk != 0 ||
-          drive_workers != 0 || worker || worker_id != 0 ||
-          !bench_json.empty() || hang_timeout != 120.0 ||
+      if (!per_run_csv.empty() || !shard_spec.empty() || resume || dry_run ||
+          progress || jobs != 0 || rep_chunk != 0 || drive_workers != 0 ||
+          worker || worker_id != 0 || hang_timeout != 120.0 ||
           !trace_path.empty() || trace_point != 0 || !serve_spec.empty() ||
           serve_linger || do_export ||
           agg_synth != 0 || agg_reps != 4) {
         std::fprintf(stderr,
-                     "pas-exp: --merge takes only input CSVs, --out, and "
-                     "--manifest (merge per-run shard files in a separate "
+                     "pas-exp: --merge takes only input CSVs, --out, --json, "
+                     "and --manifest (merge per-run shard files in a separate "
                      "--merge invocation)\n");
         return 2;
       }
@@ -256,10 +223,10 @@ int main(int argc, char** argv) {
         // Telemetry merge: the positional inputs are telemetry JSONL shard
         // files, recombined into --metrics. A separate invocation from the
         // CSV merge, like per-run shard files.
-        if (!manifest_path.empty()) {
+        if (!manifest_path.empty() || !jsonl_out.empty()) {
           std::fprintf(stderr,
-                       "pas-exp: a telemetry merge (--merge --metrics) does "
-                       "not validate against a manifest; drop --manifest\n");
+                       "pas-exp: a telemetry merge (--merge --metrics) takes "
+                       "neither --manifest nor --json\n");
           return 2;
         }
         const auto rows = pas::exp::merge_telemetry(inputs, metrics_path);
@@ -272,6 +239,7 @@ int main(int argc, char** argv) {
       if (validate) manifest = pas::exp::Manifest::load(manifest_path);
       const auto rows = pas::exp::merge_outputs(
           inputs, out_csv, validate ? &manifest : nullptr);
+      write_jsonl(out_csv, jsonl_out);
       std::printf("merged %zu rows from %zu shard files -> %s%s\n", rows,
                   inputs.size(), out_csv.c_str(),
                   validate ? " (validated against manifest)" : "");
@@ -306,7 +274,6 @@ int main(int argc, char** argv) {
           std::max<std::size_t>(1, static_cast<std::size_t>(agg_reps));
       pas::exp::AggregatorOptions agg_options;
       agg_options.csv_path = out_csv;
-      agg_options.json_path = out_json;
       agg_options.per_run_path = per_run_csv;
       agg_options.axis_names = {"x"};
       agg_options.total_points = n_points;
@@ -340,6 +307,7 @@ int main(int argc, char** argv) {
                           pas::world::reduce_runs(runs));
       }
       aggregator.finalize();
+      write_jsonl(out_csv, jsonl_out);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -409,7 +377,6 @@ int main(int argc, char** argv) {
       }
       pas::exp::AggregatorOptions agg_options;
       agg_options.csv_path = out_csv;
-      agg_options.json_path = out_json;
       agg_options.per_run_path = per_run_csv;
       agg_options.axis_names = pas::exp::axis_columns(manifest);
       agg_options.total_points = points.size();
@@ -418,6 +385,7 @@ int main(int argc, char** argv) {
       pas::exp::Aggregator aggregator(std::move(agg_options));
       aggregator.load_existing();
       aggregator.compact();
+      write_jsonl(out_csv, jsonl_out);
       std::printf("exported %zu of %zu points from %s -> %s\n",
                   aggregator.done_count(), points.size(),
                   pas::exp::RowStore::path_for(out_csv).c_str(),
@@ -443,7 +411,7 @@ int main(int argc, char** argv) {
       // event trace enabled and dump it as JSONL, then exit — a debugging
       // companion to a campaign, not part of one.
       if (drive_workers > 0 || !shard_spec.empty() || resume ||
-          !out_json.empty() || !per_run_csv.empty() || !metrics_path.empty()) {
+          !jsonl_out.empty() || !per_run_csv.empty() || !metrics_path.empty()) {
         std::fprintf(stderr,
                      "pas-exp: --trace runs one point and exits; it is "
                      "incompatible with campaign output options\n");
@@ -472,6 +440,14 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(point.seed),
                   result.trace.size(), trace_path.c_str());
       return 0;
+    }
+
+    // A campaign run (serial, --shard or --drive) keeps an existing --json
+    // unless it resumes, like every other output it would replace.
+    if (!resume && !jsonl_out.empty() && std::filesystem::exists(jsonl_out)) {
+      throw std::runtime_error(jsonl_out +
+                               " exists; pass --resume to continue its "
+                               "campaign or remove it to start over");
     }
 
     // --- live observability: one feed for terminal echo and --serve -------
@@ -549,11 +525,10 @@ int main(int argc, char** argv) {
     };
 
     if (drive_workers > 0) {
-      if (!shard_spec.empty() || rep_chunk != 0 || !out_json.empty()) {
+      if (!shard_spec.empty() || rep_chunk != 0) {
         std::fprintf(stderr,
-                     "pas-exp: --drive is incompatible with --shard, "
-                     "--rep-chunk, and --json (drive owns the process "
-                     "split; JSON-lines shards cannot be merged)\n");
+                     "pas-exp: --drive is incompatible with --shard and "
+                     "--rep-chunk (drive owns the process split)\n");
         return 2;
       }
       pas::orch::DriveOptions drive_options;
@@ -583,6 +558,7 @@ int main(int argc, char** argv) {
                                  std::to_string(drive_options.workers) +
                                  " --manifest " + manifest_path + " --out " +
                                  out_csv;
+        if (!jsonl_out.empty()) resume_cmd += " --json " + jsonl_out;
         if (!per_run_csv.empty()) resume_cmd += " --per-run " + per_run_csv;
         if (!metrics_path.empty()) resume_cmd += " --metrics " + metrics_path;
         if (jobs != 0) resume_cmd += " --jobs " + std::to_string(jobs);
@@ -591,7 +567,6 @@ int main(int argc, char** argv) {
           std::snprintf(buf, sizeof(buf), " --hang-timeout %g", hang_timeout);
           resume_cmd += buf;
         }
-        if (!bench_json.empty()) resume_cmd += " --bench-json " + bench_json;
         if (quiet) resume_cmd += " --quiet";
         if (progress) resume_cmd += " --progress";
         std::printf(
@@ -601,6 +576,7 @@ int main(int argc, char** argv) {
             resume_cmd.c_str());
         return 130;
       }
+      write_jsonl(out_csv, jsonl_out);
       std::printf(
           "done: %zu points (%zu computed, %zu resumed) via %zu workers "
           "(%zu crashes, %zu respawns) in %.1fs (%.1f runs/s) -> %s\n",
@@ -612,11 +588,6 @@ int main(int argc, char** argv) {
                     report.wall_s
               : 0.0,
           out_csv.c_str());
-      if (!bench_json.empty()) {
-        write_bench_json(bench_json, manifest, "drive",
-                         drive_options.workers, drive_options.jobs_per_worker,
-                         report.computed, report.wall_s);
-      }
       if (serving) {
         drain_submissions([&](std::uint64_t id, const std::string& text) {
           try {
@@ -664,7 +635,6 @@ int main(int argc, char** argv) {
     options.rep_chunk = static_cast<std::size_t>(rep_chunk);
     options.resume = resume;
     options.out_csv = out_csv;
-    options.out_json = out_json;
     options.per_run_csv = per_run_csv;
     options.metrics_path = metrics_path;
     options.feed = &feed;
@@ -691,7 +661,7 @@ int main(int argc, char** argv) {
       // finishes the campaign. The unfinalized output resumes like a kill.
       std::string resume_cmd =
           "pas-exp --manifest " + manifest_path + " --out " + out_csv;
-      if (!out_json.empty()) resume_cmd += " --json " + out_json;
+      if (!jsonl_out.empty()) resume_cmd += " --json " + jsonl_out;
       if (!per_run_csv.empty()) resume_cmd += " --per-run " + per_run_csv;
       if (!metrics_path.empty()) resume_cmd += " --metrics " + metrics_path;
       if (!shard_spec.empty()) resume_cmd += " --shard " + shard_spec;
@@ -708,6 +678,7 @@ int main(int argc, char** argv) {
           resume_cmd.c_str());
       return 130;
     }
+    write_jsonl(out_csv, jsonl_out);
     if (options.shard_count > 1) {
       std::printf("shard %zu/%zu: %zu of %zu points\n", options.shard_index,
                   options.shard_count, report.owned_points,
@@ -722,11 +693,6 @@ int main(int argc, char** argv) {
                   report.wall_s
             : 0.0,
         out_csv.c_str());
-    if (!bench_json.empty()) {
-      write_bench_json(bench_json, manifest, "single", 1,
-                       options.jobs == 0 ? 0 : options.jobs, report.computed,
-                       report.wall_s);
-    }
     if (serving) {
       drain_submissions([&](std::uint64_t id, const std::string& text) {
         try {
