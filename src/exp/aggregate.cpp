@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "exp/grid.hpp"
+#include "exp/telemetry.hpp"
 #include "io/csv.hpp"
 
 namespace pas::exp {
@@ -76,15 +77,17 @@ bool is_finite_numeric_cell(const std::string& cell, bool& non_finite) {
 }
 
 /// Export merge order within a point: tombstones first (they set the
-/// liveness threshold), then per-run rows by rep, then the summary;
-/// sequence numbers break ties so later appends win deterministically.
+/// liveness threshold), then per-run rows by rep, the summary, and the
+/// telemetry row; sequence numbers break ties so later appends win
+/// deterministically.
 int kind_rank(RowStore::Kind kind) {
   switch (kind) {
     case RowStore::Kind::kTombstone: return 0;
     case RowStore::Kind::kPerRun: return 1;
     case RowStore::Kind::kSummary: return 2;
+    case RowStore::Kind::kTelemetry: return 3;
   }
-  return 3;
+  return 4;
 }
 
 bool record_less(const RowStore::Record& a, const RowStore::Record& b) {
@@ -137,6 +140,7 @@ std::vector<std::string> Aggregator::per_run_metric_columns() {
 Aggregator::Aggregator(AggregatorOptions options)
     : csv_path_(std::move(options.csv_path)),
       per_run_path_(std::move(options.per_run_path)),
+      metrics_path_(std::move(options.metrics_path)),
       axis_count_(options.axis_names.size()),
       total_points_(options.total_points),
       replications_(options.replications),
@@ -156,6 +160,11 @@ Aggregator::Aggregator(AggregatorOptions options)
     // CSV every recovered group would look orphaned and be wiped.
     throw std::logic_error(
         "Aggregator: per-run output requires a summary CSV path");
+  }
+  if (!metrics_path_.empty() && csv_path_.empty()) {
+    // Telemetry rows live in the row store, which backs the CSV artifact.
+    throw std::logic_error(
+        "Aggregator: telemetry output requires a summary CSV path");
   }
   if (!store_path_.empty() && csv_path_.empty()) {
     // The store exists to back a CSV artifact; in-memory aggregation
@@ -204,6 +213,7 @@ Aggregator::Aggregator(std::string csv_path,
     : Aggregator(AggregatorOptions{
           .csv_path = std::move(csv_path),
           .per_run_path = {},
+          .metrics_path = {},
           .axis_names = std::move(axis_names),
           .total_points = total_points,
           .replications = 0,
@@ -338,7 +348,9 @@ std::size_t Aggregator::load_store() {
     // A finalized or bare artifact (or a stale per-run file from another
     // campaign) is on disk: run the CSV readers, which validate every
     // row's identity, and seed a fresh store from the survivors.
-    return seed_store_from_csv();
+    seed_store_from_csv();
+    import_telemetry(std::vector<std::uint8_t>(total_points_, 0));
+    return done_count_;
   }
   // Validates the header against this campaign's identity hash and
   // truncates a torn trailing record before we scan.
@@ -346,6 +358,7 @@ std::size_t Aggregator::load_store() {
 
   const bool per_run = !per_run_path_.empty();
   std::vector<std::uint8_t> summary_live(total_points_, 0);
+  std::vector<std::uint8_t> telemetry_live(total_points_, 0);
   std::vector<std::uint8_t> rep_live;
   if (per_run) rep_live.assign(total_points_ * replications_, 0);
   store_->scan([&](const RowStore::Record& r) {
@@ -359,6 +372,7 @@ std::size_t Aggregator::load_store() {
     switch (r.kind) {
       case RowStore::Kind::kTombstone:
         summary_live[r.point] = 0;
+        telemetry_live[r.point] = 0;
         if (per_run) {
           std::fill_n(rep_live.begin() +
                           static_cast<std::ptrdiff_t>(r.point * replications_),
@@ -367,6 +381,9 @@ std::size_t Aggregator::load_store() {
         break;
       case RowStore::Kind::kSummary:
         summary_live[r.point] = 1;
+        break;
+      case RowStore::Kind::kTelemetry:
+        telemetry_live[r.point] = 1;
         break;
       case RowStore::Kind::kPerRun:
         if (per_run && r.rep < replications_) {
@@ -390,7 +407,29 @@ std::size_t Aggregator::load_store() {
     done_[p] = 1;
     ++done_count_;
   }
+  import_telemetry(std::move(telemetry_live));
   return done_count_;
+}
+
+void Aggregator::import_telemetry(std::vector<std::uint8_t> telemetry_live) {
+  if (metrics_path_.empty()) return;
+  std::ifstream in(metrics_path_);
+  if (!in) return;
+  // Lenient on purpose: the store and the CSV are what resume validates;
+  // a telemetry line only has to name an owned grid point still missing
+  // its row (first line per point wins).
+  std::string line;
+  bool appended = false;
+  while (std::getline(in, line)) {
+    const std::size_t point = parse_point_row(line, total_points_);
+    if (point == SIZE_MAX || !owns(point) || telemetry_live[point] != 0) {
+      continue;
+    }
+    telemetry_live[point] = 1;
+    store_->append(RowStore::Kind::kTelemetry, point, 0, {line});
+    appended = true;
+  }
+  if (appended) store_->flush();
 }
 
 std::size_t Aggregator::seed_store_from_csv() {
@@ -439,7 +478,7 @@ std::size_t Aggregator::load_existing() {
   return store_path_.empty() ? 0 : load_store();
 }
 
-void Aggregator::export_store() {
+void Aggregator::export_store(const std::vector<std::string>& trailers) {
   // Caller holds mutex_; store_ is open. External merge: buffer records up
   // to the spill budget, spill sorted runs, then k-way merge the runs with
   // the final in-memory batch and render the artifacts in one streaming
@@ -518,6 +557,15 @@ void Aggregator::export_store() {
     }
     per_run_out << csv_line(per_run_columns_) << '\n';
   }
+  std::ofstream metrics_out;
+  const bool metrics = !metrics_path_.empty();
+  const std::string metrics_tmp = metrics_path_ + ".tmp";
+  if (metrics) {
+    metrics_out.open(metrics_tmp, std::ios::trunc);
+    if (!metrics_out) {
+      throw std::runtime_error("Aggregator: cannot write " + metrics_tmp);
+    }
+  }
 
   // Per-point group state: last-wins by sequence number, with tombstones
   // (which sort first) setting the liveness threshold. Only a complete
@@ -527,6 +575,7 @@ void Aggregator::export_store() {
   std::uint64_t tomb_seq = 0;
   bool have_tomb = false;
   std::optional<RowStore::Record> summary;
+  std::optional<RowStore::Record> telemetry;
   std::vector<std::optional<RowStore::Record>> latest_rep(
       per_run ? replications_ : 0);
 
@@ -550,10 +599,16 @@ void Aggregator::export_store() {
         }
       }
       csv_out << csv_line(summary->cells) << '\n';
+      if (metrics && telemetry.has_value() &&
+          (!have_tomb || telemetry->seq > tomb_seq) &&
+          telemetry->cells.size() == 1) {
+        metrics_out << telemetry->cells.front() << '\n';
+      }
     }
     tomb_seq = 0;
     have_tomb = false;
     summary.reset();
+    telemetry.reset();
     std::fill(latest_rep.begin(), latest_rep.end(), std::nullopt);
   };
 
@@ -572,6 +627,11 @@ void Aggregator::export_store() {
         break;
       case RowStore::Kind::kSummary:
         if (!summary.has_value() || summary->seq < r.seq) summary = r;
+        break;
+      case RowStore::Kind::kTelemetry:
+        if (metrics && (!telemetry.has_value() || telemetry->seq < r.seq)) {
+          telemetry = r;
+        }
         break;
       case RowStore::Kind::kPerRun:
         if (per_run && r.rep < replications_) {
@@ -592,6 +652,13 @@ void Aggregator::export_store() {
     per_run_out.close();
     if (std::rename(per_run_tmp.c_str(), per_run_path_.c_str()) != 0) {
       throw std::runtime_error("Aggregator: cannot replace " + per_run_path_);
+    }
+  }
+  if (metrics) {
+    for (const auto& trailer : trailers) metrics_out << trailer << '\n';
+    metrics_out.close();
+    if (std::rename(metrics_tmp.c_str(), metrics_path_.c_str()) != 0) {
+      throw std::runtime_error("Aggregator: cannot replace " + metrics_path_);
     }
   }
   sources.clear();  // closes the run readers before unlinking
@@ -618,7 +685,8 @@ std::vector<std::size_t> Aggregator::pending() const {
 
 void Aggregator::record(std::size_t point, std::uint64_t seed,
                         const std::vector<std::string>& axis_values,
-                        const world::ReplicatedMetrics& m) {
+                        const world::ReplicatedMetrics& m,
+                        std::string telemetry_row) {
   if (axis_values.size() != axis_count_) {
     throw std::logic_error("Aggregator: axis value count mismatch");
   }
@@ -681,11 +749,16 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
   summaries_.emplace(point, PointSummary::of(point, seed, m));
   if (!store_path_.empty()) {
     ensure_store();
-    // The whole point — per-run group then summary — lands in one batched
-    // write + flush at the point boundary: the summary record doubles as
-    // the group's commit mark, so a torn batch is dropped on resume.
+    // The whole point — per-run group, telemetry row, then summary — lands
+    // in one batched write + flush at the point boundary: the summary
+    // record doubles as the batch's commit mark, so a torn batch is
+    // dropped on resume.
     for (const auto& [r, rc] : run_rows) {
       store_->append(RowStore::Kind::kPerRun, point, r, rc);
+    }
+    if (!telemetry_row.empty()) {
+      store_->append(RowStore::Kind::kTelemetry, point, 0,
+                     {std::move(telemetry_row)});
     }
     store_->append(RowStore::Kind::kSummary, point, 0, cells);
     store_->flush();
@@ -694,14 +767,14 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
   ++done_count_;
 }
 
-void Aggregator::finalize() {
+void Aggregator::finalize(const std::vector<std::string>& trailers) {
   const std::lock_guard lock(mutex_);
   if (done_count_ != owned_count()) {
     throw std::logic_error("Aggregator: finalize with incomplete campaign");
   }
   if (store_path_.empty()) return;
   ensure_store();
-  export_store();
+  export_store(trailers);
   // The artifacts now carry everything (resume re-seeds from the CSV if
   // ever needed).
   store_->remove_file();
@@ -714,7 +787,7 @@ void Aggregator::compact() {
   // (tombstones and superseded generations resolve at export, so no store
   // rewrite is needed).
   ensure_store();
-  export_store();
+  export_store({});
 }
 
 void Aggregator::discard_points(const std::vector<std::size_t>& points) {

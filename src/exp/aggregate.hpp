@@ -8,14 +8,17 @@
 // completion bitmaps. On resume it reads that record back and reports which
 // points are already done; the runner then schedules only the rest.
 //
-// finalize()/compact() render the point CSV and per-replication CSV
-// artifacts through an external-merge export — sorted spill runs of bounded
-// size, k-way merged by (point, rep) — so memory stays O(spill budget) and
-// the artifact is byte-identical no matter how many threads produced it or
-// how many times the campaign was resumed. In flight the store is the
-// ground truth (the CSV only materializes at export); finalize() deletes
-// the store, and resuming from a bare CSV seeds a fresh store through the
-// CSV readers.
+// A point's optional --metrics telemetry row (exp/telemetry.hpp) rides the
+// same batch, so the point's CSV row and telemetry row commit together.
+//
+// finalize()/compact() render the point CSV, per-replication CSV and
+// telemetry JSONL artifacts through an external-merge export — sorted spill
+// runs of bounded size, k-way merged by (point, rep) — so memory stays
+// O(spill budget) and the artifact is byte-identical no matter how many
+// threads produced it or how many times the campaign was resumed. In flight
+// the store is the ground truth (the CSV only materializes at export);
+// finalize() deletes the store, and resuming from a bare CSV seeds a fresh
+// store through the CSV readers.
 //
 // Without a CSV path (benches, examples, unit tests) nothing is written:
 // the aggregator only tracks completion and keeps the point summaries.
@@ -65,6 +68,10 @@ struct AggregatorOptions {
   /// Optional per-replication CSV (one row per run); requires
   /// `replications` so resume can tell complete groups from torn ones.
   std::string per_run_path;
+  /// Optional telemetry JSONL (--metrics): record()'s telemetry rows,
+  /// exported in point order. Requires csv_path. When empty, telemetry
+  /// records in the store are ignored.
+  std::string metrics_path;
   std::vector<std::string> axis_names;
   std::size_t total_points = 0;
   /// Replications per point; only consulted when per_run_path is set.
@@ -101,8 +108,13 @@ class Aggregator {
   /// disagree with the expected identity, or if a row belongs to a point
   /// outside this shard (all are manifest/output mismatches: resuming
   /// would silently produce wrong data). A point whose per-run rows are
-  /// missing or torn is dropped and recomputed. Returns the number of
-  /// points recovered. Call before the first record().
+  /// missing or torn is dropped and recomputed. When metrics_path names an
+  /// existing file, its point rows are imported for owned, in-grid points
+  /// that have no telemetry record yet; garbage, trailer, foreign and
+  /// out-of-grid lines are dropped silently (a finalized campaign, a
+  /// compacted worker part, or one written before telemetry rode the
+  /// store). Returns the number of points recovered. Call before the first
+  /// record().
   std::size_t load_existing();
 
   /// True if `point` already has a row (recorded now or recovered).
@@ -113,21 +125,24 @@ class Aggregator {
 
   /// Records one completed point. Thread-safe; appends + flushes to the row
   /// store so the point survives a kill. `axis_values` must align with the
-  /// axis_names given at construction.
+  /// axis_names given at construction. A non-empty `telemetry_row` (one
+  /// JSONL line, no newline) is stored in the same batch.
   void record(std::size_t point, std::uint64_t seed,
               const std::vector<std::string>& axis_values,
-              const world::ReplicatedMetrics& m);
+              const world::ReplicatedMetrics& m,
+              std::string telemetry_row = {});
 
   /// Exports the output files in point order (temp file + atomic rename)
-  /// and deletes the row store. Requires every owned point recorded; throws
+  /// and deletes the row store; `trailers` are appended to the telemetry
+  /// file after its point rows. Requires every owned point recorded; throws
   /// std::logic_error otherwise.
-  void finalize();
+  void finalize(const std::vector<std::string>& trailers = {});
 
-  /// finalize() without the completeness requirement: exports whatever is
-  /// recorded so far in point order and keeps the store. Orchestrator
-  /// workers call this on clean shutdown so a part file is always sorted
-  /// and free of torn rows even though the worker owns only the leases it
-  /// happened to receive.
+  /// finalize() without the completeness requirement or trailers: exports
+  /// whatever is recorded so far in point order and keeps the store.
+  /// Orchestrator workers call this on clean shutdown so a part file is
+  /// always sorted and free of torn rows even though the worker owns only
+  /// the leases it happened to receive.
   void compact();
 
   /// Forgets the given points (recorded or recovered) by appending
@@ -193,12 +208,16 @@ class Aggregator {
   /// store from an existing CSV (a finalized or bare artifact).
   std::size_t load_store();
   std::size_t seed_store_from_csv();
-  /// finalize/compact: external-merge export of the point CSV and
-  /// per-run artifacts (spill runs + k-way merge). Caller must hold mutex_.
-  void export_store();
+  /// load_store: appends the metrics file's rows for points whose entry in
+  /// `telemetry_live` is 0.
+  void import_telemetry(std::vector<std::uint8_t> telemetry_live);
+  /// finalize/compact: external-merge export of the point CSV, per-run and
+  /// telemetry artifacts (spill runs + k-way merge). Caller must hold mutex_.
+  void export_store(const std::vector<std::string>& trailers);
 
   std::string csv_path_;
   std::string per_run_path_;
+  std::string metrics_path_;
   std::size_t axis_count_ = 0;
   std::size_t total_points_ = 0;
   std::size_t replications_ = 0;

@@ -2,9 +2,10 @@
 //
 // The Aggregator's bounded-memory backend: completed rows are appended to a
 // compact binary log instead of being kept as in-memory string maps. Each
-// record carries its kind (per-run row, point summary, or tombstone), its
-// (point, rep) key, and the row's cell strings verbatim, so the export step
-// renders the CSV bytes from them without reformatting anything.
+// record carries its kind (per-run row, point summary, telemetry row, or
+// tombstone), its (point, rep) key, and the row's cell strings verbatim, so
+// the export step renders the CSV and --metrics bytes from them without
+// reformatting anything.
 //
 // Layout:
 //   header   = "PASROWS1" (8 bytes) + u64 identity hash (little-endian)
@@ -45,6 +46,10 @@ class RowStore {
     /// Invalidates every earlier record for its point (crash recovery's
     /// discard_points); an O(1) append instead of a file rewrite.
     kTombstone = 3,
+    /// One cell: the point's --metrics JSONL row, verbatim. Appended in
+    /// the point's batch before the summary, so the summary's commit mark
+    /// covers it too.
+    kTelemetry = 4,
   };
 
   struct Record {

@@ -187,10 +187,12 @@ CampaignReport run_campaign(const Manifest& manifest,
         "mutually exclusive ownership specs");
   }
 
+  const auto axis_names = axis_columns(manifest);
   AggregatorOptions agg_options;
   agg_options.csv_path = options.out_csv;
   agg_options.per_run_path = options.per_run_csv;
-  agg_options.axis_names = axis_columns(manifest);
+  agg_options.metrics_path = options.metrics_path;
+  agg_options.axis_names = axis_names;
   agg_options.total_points = points.size();
   agg_options.replications = manifest.replications;
   // Resume rejects rows produced by a different manifest via the expected
@@ -215,21 +217,13 @@ CampaignReport run_campaign(const Manifest& manifest,
                          recovered);
   }
 
-  // Telemetry: a JSONL sink for per-point rows plus a campaign-scoped
-  // registry for the cross-point roll-up. Both exist only when --metrics
-  // was given; a disabled registry hands out inert handles, and nothing in
-  // the simulation path ever sees either (run_replication is telemetry-
-  // blind), so metrics on/off cannot change a single output byte.
-  std::optional<TelemetrySink> sink;
-  if (!options.metrics_path.empty()) {
-    TelemetryOptions telemetry_options;
-    telemetry_options.path = options.metrics_path;
-    telemetry_options.axis_names = axis_columns(manifest);
-    telemetry_options.total_points = points.size();
-    sink.emplace(std::move(telemetry_options));
-    sink->load_existing();
-  }
-  obs::Registry registry(sink.has_value());
+  // Telemetry: a per-point row stored with the point's CSV row, plus a
+  // campaign-scoped registry for the cross-point roll-up. Both exist only
+  // when --metrics was given; a disabled registry hands out inert handles,
+  // and nothing in the simulation path ever sees either (run_replication is
+  // telemetry-blind), so metrics on/off cannot change a single output byte.
+  const bool telemetry_on = !options.metrics_path.empty();
+  obs::Registry registry(telemetry_on);
   std::map<core::Policy, PolicyInstruments> policy_instruments;
   std::optional<NetInstruments> net_instruments;
   if (registry.enabled()) {
@@ -300,9 +294,11 @@ CampaignReport run_campaign(const Manifest& manifest,
   const auto finish_point = [&](PointTask& task) {
     const GridPoint& point = *task.point;
     const auto metrics = world::reduce_runs(std::move(task.runs));
-    aggregator.record(point.index, point.seed, point.values, metrics);
-    if (sink.has_value()) {
-      sink->record(point, metrics);
+    aggregator.record(
+        point.index, point.seed, point.values, metrics,
+        telemetry_on ? telemetry_point_row(point, axis_names, metrics).dump()
+                     : std::string());
+    if (telemetry_on) {
       // Roll the point's run telemetry into the campaign registry. This
       // runs on whichever pool thread finished the point's last chunk, so
       // the thread-shard merge is exercised by every parallel campaign.
@@ -420,8 +416,8 @@ CampaignReport run_campaign(const Manifest& manifest,
 
   const bool interrupted = stop_requested();
   if (!interrupted) {
-    aggregator.finalize();
-    if (sink.has_value()) {
+    std::vector<std::string> trailers;
+    if (telemetry_on) {
       // The registry snapshot covers the points computed *this invocation*
       // (resumed rows were recovered, not re-simulated); points_completed
       // records exactly that.
@@ -429,11 +425,12 @@ CampaignReport run_campaign(const Manifest& manifest,
       trailer["kind"] = "registry";
       trailer["scope"] = "campaign";
       trailer["instruments"] = obs::snapshot_json(registry.snapshot());
-      sink->finalize({io::Json(std::move(trailer))});
+      trailers.push_back(io::Json(std::move(trailer)).dump());
     }
+    aggregator.finalize(trailers);
   }
-  // Interrupted: no finalize, no trailer — the appended rows are exactly
-  // what a resume expects, the same shape a killed process leaves behind.
+  // Interrupted: no finalize, no trailer — the store holds exactly what a
+  // resume expects, the same shape a killed process leaves behind.
 
   if (feed != nullptr) feed->end_campaign(interrupted);
 

@@ -44,8 +44,9 @@ struct CampaignOptions {
   /// Optional per-replication CSV (one row per run) for p95/p99 reporting.
   std::string per_run_csv;
   /// Optional telemetry JSONL (one row per point: kernel + protocol
-  /// counters, sleep histogram; see exp/telemetry.hpp). Also enables the
-  /// campaign-wide obs::Registry whose snapshot trails the file.
+  /// counters, sleep histogram; see exp/telemetry.hpp). Requires out_csv:
+  /// the rows ride its row store. Also enables the campaign-wide
+  /// obs::Registry whose snapshot trails the file.
   std::string metrics_path;
   /// This process executes points with index ≡ shard_index (mod
   /// shard_count). The default 0/1 runs the whole grid.

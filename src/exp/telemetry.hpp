@@ -1,12 +1,12 @@
-// Campaign telemetry output (pas-exp --metrics).
+// Campaign telemetry rows (pas-exp --metrics).
 //
-// A TelemetrySink mirrors the Aggregator's lifecycle for the structured
-// telemetry file: one JSONL row per completed grid point, appended + flushed
-// as points finish (crash-safe), resumable, and finalized point-sorted
-// through a temp file + rename so the completed artifact is byte-identical
-// no matter how many threads — or how many resumed invocations — produced
-// it. Trailer rows (a campaign-wide registry snapshot, the orchestrator's
-// wall-clock instruments) are appended after the point rows at finalize.
+// One JSONL row per completed grid point. The row is built here, but it is
+// stored like any other campaign row: Aggregator::record() appends it to the
+// point's row-store batch (RowStore::Kind::kTelemetry), so the point's CSV
+// row and telemetry row commit together, and the Aggregator's sorted export
+// writes the --metrics file next to the CSVs, followed by any trailer rows
+// (a campaign-wide registry snapshot, the orchestrator's wall-clock
+// instruments) at finalize.
 //
 // A point row is a pure function of the point's identity and its
 // replications' RunMetrics, so `--jobs 1`, `--jobs 8`, `--shard`, and
@@ -18,10 +18,7 @@
 //    "policy":"PAS","axes":{...},"kernel":{...},"protocol":{...}}
 #pragma once
 
-#include <cstdint>
-#include <fstream>
-#include <map>
-#include <mutex>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -31,65 +28,22 @@
 
 namespace pas::exp {
 
-struct TelemetryOptions {
-  /// JSONL output path (required; callers that don't want telemetry simply
-  /// don't construct a sink).
-  std::string path;
-  std::vector<std::string> axis_names;
-  std::size_t total_points = 0;
-};
-
 /// Builds the per-point telemetry row from a point's replicated runs.
 [[nodiscard]] io::Json telemetry_point_row(
     const GridPoint& point, const std::vector<std::string>& axis_names,
     const world::ReplicatedMetrics& m);
 
-class TelemetrySink {
- public:
-  explicit TelemetrySink(TelemetryOptions options);
-
-  /// Loads point rows from an existing file (resume). Deliberately lenient
-  /// where the Aggregator is strict: the CSV is the ground truth a resumed
-  /// campaign validates against; the telemetry file only needs to keep the
-  /// rows that are still meaningful. Unparsable lines, rows for foreign
-  /// points, and stale trailer rows are dropped (trailers are re-emitted at
-  /// finalize). The surviving rows are streamed into a compacted file
-  /// (temp + rename) rather than held in memory — the sink keeps only a
-  /// presence bitmap. Returns the number of points recovered. Call before
-  /// the first record().
-  std::size_t load_existing();
-
-  /// Records one completed point. Thread-safe; appends + flushes so the row
-  /// survives a kill. A duplicate point is ignored (first row wins).
-  void record(const GridPoint& point, const world::ReplicatedMetrics& m);
-
-  /// Rewrites the file in point order (temp file + atomic rename), with
-  /// `trailers` appended after the point rows. Lenient about gaps: a
-  /// resumed campaign whose earlier invocation ran without --metrics has no
-  /// rows for those points, and that must not block the rest.
-  void finalize(const std::vector<io::Json>& trailers = {});
-
-  [[nodiscard]] std::size_t recorded_count() const;
-
- private:
-  /// Marks a point as present; returns false if it already was. Grows the
-  /// bitmap on demand when total_points is unknown (0).
-  bool mark_seen(std::size_t point);
-
-  TelemetryOptions options_;
-  mutable std::mutex mutex_;
-  /// Presence bitmap indexed by point — the file itself holds the rows, so
-  /// the sink's memory is O(total_points) bits, not O(rows).
-  std::vector<std::uint8_t> seen_;
-  std::size_t count_ = 0;
-  std::ofstream out_;
-};
+/// Returns the point index of a JSONL telemetry point row, or SIZE_MAX when
+/// the line is not a parseable point row (garbage, a trailer row) or its
+/// index is not below `total_points` (0 = unbounded).
+[[nodiscard]] std::size_t parse_point_row(const std::string& line,
+                                          std::size_t total_points);
 
 /// Recombines telemetry part files (orchestrator workers' `<path>.w<k>`)
 /// into `out_path`: point rows deduplicated (first input wins, mirroring
 /// the driver's crash sanitization), sorted by point, `trailers` appended.
-/// Missing inputs are skipped — a worker that never completed a point
-/// writes no part file. Returns the number of merged point rows.
+/// Throws std::runtime_error when an input cannot be opened. Returns the
+/// number of merged point rows.
 std::size_t merge_telemetry(const std::vector<std::string>& inputs,
                             const std::string& out_path,
                             const std::vector<io::Json>& trailers = {});

@@ -230,7 +230,8 @@ class Driver {
 
   void prescan();
   std::size_t sanitize_and_claim(const std::string& csv,
-                                 const std::string& runs, int tag);
+                                 const std::string& runs,
+                                 const std::string& metrics, int tag);
   void spawn(int id);
   bool send(Worker& w, const std::string& line);
   void assign(Worker& w);
@@ -298,10 +299,12 @@ std::size_t Driver::eligible_workers() const {
 }
 
 std::size_t Driver::sanitize_and_claim(const std::string& csv,
-                                       const std::string& runs, int tag) {
+                                       const std::string& runs,
+                                       const std::string& metrics, int tag) {
   exp::AggregatorOptions agg_options;
   agg_options.csv_path = csv;
   agg_options.per_run_path = runs;
+  agg_options.metrics_path = metrics;
   agg_options.axis_names = axis_names_;
   agg_options.total_points = points_.size();
   agg_options.replications = manifest_.replications;
@@ -326,9 +329,9 @@ std::size_t Driver::sanitize_and_claim(const std::string& csv,
   for (const auto p : aggregator.done_points()) {
     if (claimed_.emplace(p, tag).second) ++fresh;
   }
-  // Materialize the duplicate-free CSV now so merge_and_clean (which reads
-  // CSV part files) sees every surviving row, including those of a killed
-  // worker that never compacted.
+  // Materialize the duplicate-free CSV (and telemetry) now so
+  // merge_and_clean (which reads the exported part files) sees every
+  // surviving row, including those of a killed worker that never compacted.
   aggregator.compact();
   return fresh;
 }
@@ -356,16 +359,19 @@ void Driver::prescan() {
   if (out_exists || runs_exists) {
     // An interrupted single-process run (or a finished merge) seeds the
     // claim set — drive resume composes with every earlier topology.
-    report_.resumed +=
-        sanitize_and_claim(options_.out_csv, options_.per_run_csv, -1);
+    report_.resumed += sanitize_and_claim(
+        options_.out_csv, options_.per_run_csv, options_.metrics_path, -1);
     out_is_merge_seed_ = true;
   }
   for (const int id : existing_parts) {
     const std::string runs =
         options_.per_run_csv.empty() ? std::string()
                                      : part_path(options_.per_run_csv, id);
-    report_.resumed +=
-        sanitize_and_claim(part_path(options_.out_csv, id), runs, id);
+    const std::string metrics =
+        options_.metrics_path.empty() ? std::string()
+                                      : part_path(options_.metrics_path, id);
+    report_.resumed += sanitize_and_claim(part_path(options_.out_csv, id),
+                                          runs, metrics, id);
     all_part_ids_.insert(id);
   }
 }
@@ -608,7 +614,7 @@ void Driver::crash_recover(Worker& w) {
   // recovered from disk instead of being recomputed (and rows duplicated
   // against other parts are removed).
   const std::size_t recovered_from_disk =
-      sanitize_and_claim(w.part_csv, w.part_runs, w.id);
+      sanitize_and_claim(w.part_csv, w.part_runs, w.part_metrics, w.id);
   report_.computed += recovered_from_disk;
   recovered_rows_.add(recovered_from_disk);
   feed_->add_recovered(recovered_from_disk);

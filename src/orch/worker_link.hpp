@@ -81,10 +81,10 @@ struct WorkerOptions {
   /// Part files this worker owns (the driver derives them from --out).
   std::string out_csv;
   std::string per_run_csv;
-  /// Telemetry JSONL part file (empty = no telemetry). Rows are appended +
-  /// flushed before `point_done`, mirroring the CSV, so the driver's crash
-  /// merge never sees a point whose telemetry is missing.
-  std::string metrics_csv;
+  /// Telemetry JSONL part file (empty = no telemetry). Each point's row is
+  /// flushed to the part's row store in the same batch as its CSV row,
+  /// before `point_done`, and the file itself is written at compact.
+  std::string metrics_path;
   int worker_id = 0;
   /// Threads for replication-parallel execution inside a point (>=1).
   std::size_t jobs = 1;

@@ -1,5 +1,6 @@
-// Campaign telemetry: the JSONL sink's lifecycle, the row schema, part-file
-// merging, and the hard invariant that --metrics never changes the CSV.
+// Campaign telemetry: the row schema, telemetry rows riding the Aggregator's
+// row store (resume, import, torn batches), part-file merging, and the hard
+// invariant that --metrics never changes the CSV.
 #include "exp/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +8,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
+#include "exp/aggregate.hpp"
+#include "exp/row_store.hpp"
 #include "exp/runner.hpp"
 #include "world/paper_setup.hpp"
 
@@ -49,6 +53,14 @@ class TelemetryTest : public ::testing::Test {
     return buffer.str();
   }
 
+  static std::vector<std::string> lines_of(const fs::path& path) {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+    return lines;
+  }
+
   static std::vector<io::Json> parse_lines(const fs::path& path) {
     std::ifstream in(path);
     std::vector<io::Json> rows;
@@ -70,6 +82,28 @@ class TelemetryTest : public ::testing::Test {
       run.protocol.sleep_s.record(2.0);
     }
     return m;
+  }
+
+  /// Aggregator options for small_manifest() with a --metrics file.
+  AggregatorOptions telemetry_options(const std::vector<GridPoint>& points,
+                                      const Manifest& m) const {
+    AggregatorOptions options;
+    options.csv_path = (dir_ / "out.csv").string();
+    options.metrics_path = (dir_ / "metrics.jsonl").string();
+    options.axis_names = axis_columns(m);
+    options.total_points = points.size();
+    options.replications = m.replications;
+    options.expected_identity = grid_identity(points);
+    return options;
+  }
+
+  /// Records `point` with fake_metrics(base) and its telemetry row.
+  static void record_point(Aggregator& aggregator, const Manifest& m,
+                           const GridPoint& point, std::uint64_t base) {
+    const auto metrics = fake_metrics(base);
+    aggregator.record(
+        point.index, point.seed, point.values, metrics,
+        telemetry_point_row(point, axis_columns(m), metrics).dump());
   }
 
   fs::path dir_;
@@ -98,65 +132,72 @@ TEST_F(TelemetryTest, PointRowSchema) {
                    2.0);
 }
 
-TEST_F(TelemetryTest, SinkAppendsResumesAndFinalizesSorted) {
+TEST_F(TelemetryTest, StoreKeepsFirstRowAndResumeAddsOnlyNewRows) {
   const Manifest m = small_manifest();
   const auto points = expand_grid(m);
-  const std::string path = (dir_ / "metrics.jsonl").string();
-
-  TelemetryOptions options;
-  options.path = path;
-  options.axis_names = axis_columns(m);
-  options.total_points = points.size();
+  const fs::path metrics = dir_ / "metrics.jsonl";
   {
-    TelemetrySink sink(options);
-    EXPECT_EQ(sink.load_existing(), 0U);
-    sink.record(points[3], fake_metrics(5));
-    sink.record(points[1], fake_metrics(7));
-    sink.record(points[1], fake_metrics(9));  // duplicate: first wins
-    EXPECT_EQ(sink.recorded_count(), 2U);
-    // No finalize: the append-mode file is the crash artifact.
+    Aggregator aggregator(telemetry_options(points, m));
+    EXPECT_EQ(aggregator.load_existing(), 0U);
+    record_point(aggregator, m, points[3], 5);
+    record_point(aggregator, m, points[1], 7);
+    record_point(aggregator, m, points[1], 9);  // duplicate: first wins
+    EXPECT_EQ(aggregator.done_count(), 2U);
+    // No finalize: the row store is the crash artifact.
   }
+  EXPECT_FALSE(fs::exists(metrics));
   {
-    // Resume keeps existing rows and only adds the new ones.
-    TelemetrySink sink(options);
-    EXPECT_EQ(sink.load_existing(), 2U);
-    sink.record(points[0], fake_metrics(1));
-    io::JsonObject trailer;
-    trailer["kind"] = "registry";
-    sink.finalize({io::Json(std::move(trailer))});
+    // Resume keeps the stored rows and only adds the new ones.
+    Aggregator aggregator(telemetry_options(points, m));
+    EXPECT_EQ(aggregator.load_existing(), 2U);
+    record_point(aggregator, m, points[1], 11);  // already on disk: ignored
+    for (const std::size_t p : {0, 2, 4, 5}) {
+      record_point(aggregator, m, points[p], p + 1);
+    }
+    aggregator.finalize({R"({"kind":"registry"})"});
   }
 
-  const auto rows = parse_lines(path);
-  ASSERT_EQ(rows.size(), 4U);
-  EXPECT_DOUBLE_EQ(rows[0].at("point").as_double(), 0.0);
-  EXPECT_DOUBLE_EQ(rows[1].at("point").as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(rows[2].at("point").as_double(), 3.0);
-  EXPECT_EQ(rows[3].at("kind").as_string(), "registry");
+  const auto rows = parse_lines(metrics);
+  ASSERT_EQ(rows.size(), 7U);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_DOUBLE_EQ(rows[i].at("point").as_double(), static_cast<double>(i));
+  }
+  EXPECT_EQ(rows[6].at("kind").as_string(), "registry");
   // Point 1 kept the first-recorded payload.
   EXPECT_DOUBLE_EQ(rows[1].at("protocol").at("wakeups").as_double(), 28.0);
+  EXPECT_DOUBLE_EQ(rows[3].at("protocol").at("wakeups").as_double(), 20.0);
 }
 
-TEST_F(TelemetryTest, LoadExistingDropsGarbageAndForeignRows) {
+TEST_F(TelemetryTest, ResumeImportDropsGarbageAndForeignRows) {
   const Manifest m = small_manifest();
   const auto points = expand_grid(m);
-  const std::string path = (dir_ / "metrics.jsonl").string();
+  const fs::path metrics = dir_ / "metrics.jsonl";
+  auto options = telemetry_options(points, m);
+  options.owned_points = {0, 2, 4};
   {
-    std::ofstream out(path);
+    Aggregator aggregator(options);
+    aggregator.load_existing();
+    for (const std::size_t p : options.owned_points) {
+      record_point(aggregator, m, points[p], p + 1);
+    }
+    aggregator.finalize();
+  }
+  const std::string good = R"({"kind":"point","point":2})";
+  {
+    std::ofstream out(metrics, std::ios::trunc);
     out << "not json at all\n";
     out << "{\"kind\":\"registry\",\"scope\":\"campaign\"}\n";  // stale trailer
     out << "{\"kind\":\"point\",\"point\":999}\n";  // outside the grid
-    out << "{\"kind\":\"point\",\"point\":2}\n";    // the one good row
+    out << "{\"kind\":\"point\",\"point\":3}\n";    // another shard's
+    out << good << '\n';                               // the one good row
+    out << "{\"kind\":\"point\",\"point\":2,\"x\":1}\n";  // duplicate
   }
-  TelemetryOptions options;
-  options.path = path;
-  options.axis_names = axis_columns(m);
-  options.total_points = points.size();
-  TelemetrySink sink(options);
-  EXPECT_EQ(sink.load_existing(), 1U);
-  sink.finalize();
-  const auto rows = parse_lines(path);
-  ASSERT_EQ(rows.size(), 1U);
-  EXPECT_DOUBLE_EQ(rows[0].at("point").as_double(), 2.0);
+  // Resuming the finished campaign seeds the store from its CSV and
+  // imports what the telemetry file still has for owned points.
+  Aggregator aggregator(options);
+  EXPECT_EQ(aggregator.load_existing(), 3U);
+  aggregator.finalize();
+  EXPECT_EQ(lines_of(metrics), std::vector<std::string>{good});
 }
 
 TEST_F(TelemetryTest, MergeDeduplicatesFirstInputWins) {
@@ -181,12 +222,15 @@ TEST_F(TelemetryTest, MergeDeduplicatesFirstInputWins) {
   }
 
   const std::string merged = (dir_ / "merged.jsonl").string();
+  // A missing input is an error, like merge_outputs' for CSV shards.
+  EXPECT_THROW(merge_telemetry({a, b, (dir_ / "m.w2").string()}, merged),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(merged));
+
   io::JsonObject trailer;
   trailer["kind"] = "registry";
   trailer["scope"] = "orchestrator";
-  // The missing third input stands in for a worker that wrote nothing.
-  EXPECT_EQ(merge_telemetry({a, b, (dir_ / "m.w2").string()}, merged,
-                            {io::Json(std::move(trailer))}),
+  EXPECT_EQ(merge_telemetry({a, b}, merged, {io::Json(std::move(trailer))}),
             3U);
 
   const auto rows = parse_lines(merged);
@@ -313,6 +357,73 @@ TEST_F(TelemetryTest, ResumeCompletesTheTelemetryFile) {
     if (row.at("kind").as_string() == "point") ++point_rows;
   }
   EXPECT_EQ(point_rows, 6U);
+}
+
+// A point's CSV row and telemetry row share one row-store batch whose
+// summary record commits it: a kill anywhere inside the last batch loses
+// both rows, and resume recomputes both.
+TEST_F(TelemetryTest, TornBatchRecomputesCsvAndTelemetryRowsTogether) {
+  const Manifest m = small_manifest();
+
+  CampaignOptions reference;
+  reference.jobs = 1;
+  reference.out_csv = (dir_ / "ref.csv").string();
+  reference.per_run_csv = (dir_ / "ref_runs.csv").string();
+  reference.metrics_path = (dir_ / "ref.jsonl").string();
+  run_campaign(m, reference);
+  const auto reference_rows = lines_of(reference.metrics_path);
+  ASSERT_EQ(reference_rows.size(), 7U);  // 6 points + registry trailer
+
+  // Store offsets inside the last point's batch, which is per-run rows,
+  // then the telemetry row (its JSON text begins with the sorted "axes"
+  // key), then the summary: cut into the telemetry record, or into the
+  // summary with the telemetry record whole.
+  const std::vector<std::pair<const char*, std::function<std::size_t(
+                                                const std::string&)>>>
+      cuts = {
+          {"telemetry", [](const std::string& bytes) {
+             return bytes.rfind("{\"axes\"") + 10;
+           }},
+          {"summary",
+           [](const std::string& bytes) { return bytes.size() - 5; }},
+      };
+  for (const auto& [name, cut_at] : cuts) {
+    SCOPED_TRACE(name);
+    const fs::path sub = dir_ / name;
+    fs::create_directories(sub);
+    CampaignOptions options;
+    options.jobs = 1;
+    options.out_csv = (sub / "out.csv").string();
+    options.per_run_csv = (sub / "runs.csv").string();
+    options.metrics_path = (sub / "metrics.jsonl").string();
+    std::size_t done = 0;
+    options.progress = [&done](const PointSummary&, std::size_t d,
+                               std::size_t) { done = d; };
+    options.should_stop = [&done] { return done >= 3; };
+    ASSERT_TRUE(run_campaign(m, options).interrupted);
+
+    const std::string store = RowStore::path_for(options.out_csv);
+    const std::string bytes = slurp(store);
+    const std::size_t cut = cut_at(bytes);
+    ASSERT_LT(cut, bytes.size());
+    fs::resize_file(store, cut);
+
+    options.resume = true;
+    options.progress = nullptr;
+    options.should_stop = nullptr;
+    const auto report = run_campaign(m, options);
+    EXPECT_EQ(report.skipped, 2U);
+    EXPECT_EQ(report.computed, 4U);
+    EXPECT_EQ(slurp(options.out_csv), slurp(reference.out_csv));
+    EXPECT_EQ(slurp(options.per_run_csv), slurp(reference.per_run_csv));
+    // Point rows byte-equal an uninterrupted run's; the registry trailer
+    // covers only the points this invocation computed.
+    auto rows = lines_of(options.metrics_path);
+    ASSERT_EQ(rows.size(), reference_rows.size());
+    EXPECT_EQ(io::Json::parse(rows.back()).string_or("kind", ""), "registry");
+    rows.back() = reference_rows.back();
+    EXPECT_EQ(rows, reference_rows);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Supervised multi-process campaigns, end to end against the real pas-exp
 // binary: byte-identity with a serial run, SIGKILL crash recovery,
-// duplicate-row sanitization on resume, and SIGINT interruption.
+// duplicate-row sanitization on resume, and SIGINT interruption; plus the
+// CLI's --export of a row store.
 //
 // The tests fork/exec the pas-exp executable (the --worker child mode), so
 // they need its path: the PAS_EXP_BIN environment variable if set, else
@@ -10,14 +11,17 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
+#include "exp/aggregate.hpp"
 #include "exp/runner.hpp"
 #include "io/json.hpp"
 #include "world/paper_setup.hpp"
@@ -128,6 +132,34 @@ class SupervisorTest : public ::testing::Test {
       if (row.string_or("kind", "") == "point") rows.push_back(line);
     }
     return rows;
+  }
+
+  static std::vector<std::string> lines_of(const fs::path& p,
+                                           std::size_t limit = SIZE_MAX) {
+    std::ifstream in(p);
+    std::vector<std::string> lines;
+    std::string line;
+    while (lines.size() < limit && std::getline(in, line)) {
+      lines.push_back(line);
+    }
+    return lines;
+  }
+
+  /// Runs the pas-exp CLI in the test directory; returns its exit code.
+  int run_cli(const std::string& args) const {
+    const std::string cmd = "cd " + dir_.string() + " && " + exe_ + " " +
+                            args + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  /// Every regular file in the test directory with its content.
+  std::map<std::string, std::string> listing() const {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      files[entry.path().filename().string()] = slurp(entry.path());
+    }
+    return files;
   }
 
   std::string exe_;
@@ -296,6 +328,55 @@ TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {
   const std::string dump = slurp(flightrec);
   EXPECT_NE(dump.find("flight recorder:"), std::string::npos) << dump;
   EXPECT_NE(dump.find("hello"), std::string::npos) << dump;
+}
+
+// --export renders an interrupted campaign's row store — CSV, per-run CSV,
+// --json and --metrics — without resuming it, and keeps the store.
+TEST_F(SupervisorTest, ExportRendersAnInterruptedStoreAndKeepsIt) {
+  exp::CampaignOptions serial;
+  serial.jobs = 1;
+  serial.out_csv = path("ref_m.csv");
+  serial.metrics_path = path("ref.metrics.jsonl");
+  exp::run_campaign(manifest_, serial);
+  exp::render_jsonl(path("ref.csv"), path("ref.jsonl"));
+
+  exp::CampaignOptions interrupted;
+  interrupted.jobs = 1;
+  interrupted.out_csv = path("int.csv");
+  interrupted.per_run_csv = path("int_runs.csv");
+  interrupted.metrics_path = path("int.metrics.jsonl");
+  std::size_t done = 0;
+  interrupted.progress = [&done](const exp::PointSummary&, std::size_t d,
+                                 std::size_t) { done = d; };
+  interrupted.should_stop = [&done] { return done >= 3; };
+  ASSERT_TRUE(exp::run_campaign(manifest_, interrupted).interrupted);
+  ASSERT_FALSE(fs::exists(path("int.csv")));
+  ASSERT_FALSE(fs::exists(path("int.metrics.jsonl")));
+
+  ASSERT_EQ(run_cli("--export --manifest manifest.json --out int.csv "
+                    "--per-run int_runs.csv --json int.jsonl "
+                    "--metrics int.metrics.jsonl"),
+            0);
+  EXPECT_TRUE(fs::exists(path("int.csv.pasrows")));
+  // Points 0-2 finished: the header plus their rows, in point order.
+  EXPECT_EQ(lines_of(path("int.csv")), lines_of(path("ref.csv"), 4));
+  EXPECT_EQ(lines_of(path("int_runs.csv")),
+            lines_of(path("ref_runs.csv"), 1 + 3 * manifest_.replications));
+  EXPECT_EQ(lines_of(path("int.jsonl")), lines_of(path("ref.jsonl"), 3));
+  // Telemetry point rows only: the trailer is written at finalize.
+  EXPECT_EQ(lines_of(path("int.metrics.jsonl")),
+            lines_of(path("ref.metrics.jsonl"), 3));
+}
+
+// A finalized campaign has no row store: --export refuses it and leaves the
+// directory exactly as it was (no store seeded from the CSV, no outputs).
+TEST_F(SupervisorTest, ExportOfAFinalizedCampaignWritesNothing) {
+  const auto before = listing();
+  EXPECT_EQ(run_cli("--export --manifest manifest.json --out ref.csv "
+                    "--per-run ref_runs.csv --json ref.jsonl "
+                    "--metrics ref.metrics.jsonl"),
+            1);
+  EXPECT_EQ(listing(), before);
 }
 
 // A respawn budget of zero turns the first crash into a hard failure when

@@ -174,9 +174,9 @@ int main(int argc, char** argv) {
                  "--drive: kill a worker silent for this many seconds and "
                  "reassign its lease (0 disables)");
   cli.add_flag("export", &do_export,
-               "Render the CSV/JSONL artifacts from an existing --out row "
-               "store (e.g. after an interrupted campaign) and exit; "
-               "requires --manifest, keeps the store");
+               "Render the CSV/JSONL/--metrics artifacts from an existing "
+               "--out row store (e.g. after an interrupted campaign) and "
+               "exit; requires --manifest, keeps the store");
   cli.add_uint("agg-synth", &agg_synth,
                "Synthetic aggregation driver: record N fabricated points "
                "through the aggregator and finalize, no simulation (memory "
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
       pas::orch::WorkerOptions options;
       options.out_csv = out_csv;
       options.per_run_csv = per_run_csv;
-      options.metrics_csv = metrics_path;
+      options.metrics_path = metrics_path;
       options.worker_id = static_cast<int>(worker_id);
       options.jobs = std::max<std::size_t>(1, static_cast<std::size_t>(jobs));
       return pas::orch::run_worker(manifest, options);
@@ -364,20 +364,33 @@ int main(int argc, char** argv) {
     const auto points = pas::exp::expand_grid(manifest);
 
     if (do_export) {
-      // Render the CSV/JSONL artifacts out of an existing row store without
-      // running anything — the recovery hatch for an interrupted campaign
-      // whose CSV never materialized. Keeps the store (finalize,
-      // not export, is what retires it).
+      // Render the CSV/JSONL/telemetry artifacts out of an existing row
+      // store without running anything — the recovery hatch for an
+      // interrupted campaign whose outputs never materialized. Keeps the
+      // store (finalize, not export, is what retires it).
       if (worker || drive_workers != 0 || dry_run || !trace_path.empty() ||
           !serve_spec.empty()) {
         std::fprintf(stderr,
                      "pas-exp: --export renders an existing row store; it "
-                     "takes only --manifest, --out, --json, and --per-run\n");
+                     "takes only --manifest, --out, --json, --per-run, and "
+                     "--metrics\n");
         return 2;
+      }
+      const std::string store = pas::exp::RowStore::path_for(out_csv);
+      if (!std::filesystem::exists(store)) {
+        // A finalized campaign has no store: its artifacts are already
+        // rendered, and seeding a store from them would leave it looking
+        // interrupted.
+        std::fprintf(stderr,
+                     "pas-exp: --export: no row store %s (only an "
+                     "in-flight or interrupted campaign has one)\n",
+                     store.c_str());
+        return 1;
       }
       pas::exp::AggregatorOptions agg_options;
       agg_options.csv_path = out_csv;
       agg_options.per_run_path = per_run_csv;
+      agg_options.metrics_path = metrics_path;
       agg_options.axis_names = pas::exp::axis_columns(manifest);
       agg_options.total_points = points.size();
       agg_options.replications = manifest.replications;
@@ -387,8 +400,7 @@ int main(int argc, char** argv) {
       aggregator.compact();
       write_jsonl(out_csv, jsonl_out);
       std::printf("exported %zu of %zu points from %s -> %s\n",
-                  aggregator.done_count(), points.size(),
-                  pas::exp::RowStore::path_for(out_csv).c_str(),
+                  aggregator.done_count(), points.size(), store.c_str(),
                   out_csv.c_str());
       return 0;
     }
