@@ -579,17 +579,19 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
   std::vector<std::optional<RowStore::Record>> latest_rep(
       per_run ? replications_ : 0);
 
+  // A record renders when it survives the point's tombstones and has the
+  // expected cell count.
+  const auto live = [&](const std::optional<RowStore::Record>& r,
+                        std::size_t cells) {
+    return r.has_value() && (!have_tomb || r->seq > tomb_seq) &&
+           r->cells.size() == cells;
+  };
   const auto emit_group = [&] {
     if (cur_point == SIZE_MAX) return;
-    const bool summary_live =
-        summary.has_value() && (!have_tomb || summary->seq > tomb_seq) &&
-        summary->cells.size() == columns_.size();
-    bool complete = summary_live;
+    bool complete = live(summary, columns_.size());
     if (complete && per_run) {
       for (std::size_t r = 0; complete && r < replications_; ++r) {
-        complete = latest_rep[r].has_value() &&
-                   (!have_tomb || latest_rep[r]->seq > tomb_seq) &&
-                   latest_rep[r]->cells.size() == per_run_columns_.size();
+        complete = live(latest_rep[r], per_run_columns_.size());
       }
     }
     if (complete) {
@@ -599,9 +601,7 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
         }
       }
       csv_out << csv_line(summary->cells) << '\n';
-      if (metrics && telemetry.has_value() &&
-          (!have_tomb || telemetry->seq > tomb_seq) &&
-          telemetry->cells.size() == 1) {
+      if (metrics && live(telemetry, 1)) {
         metrics_out << telemetry->cells.front() << '\n';
       }
     }
