@@ -76,20 +76,26 @@ bool is_finite_numeric_cell(const std::string& cell, bool& non_finite) {
   return true;
 }
 
-/// Export merge order within a point: tombstones first (they set the
-/// liveness threshold), then per-run rows by rep, the summary, and the
-/// telemetry row; sequence numbers break ties so later appends win
-/// deterministically.
+/// A point's batch commit order, as record() appends it: per-run rows by
+/// rep, the telemetry row, then the summary (the commit mark).
 int kind_rank(RowStore::Kind kind) {
   switch (kind) {
-    case RowStore::Kind::kTombstone: return 0;
-    case RowStore::Kind::kPerRun: return 1;
+    case RowStore::Kind::kPerRun: return 0;
+    case RowStore::Kind::kTelemetry: return 1;
     case RowStore::Kind::kSummary: return 2;
-    case RowStore::Kind::kTelemetry: return 3;
   }
-  return 4;
+  return 3;
 }
 
+/// True when `b` may follow `a` inside one point's batch.
+bool continues_batch(const RowStore::Record& a, const RowStore::Record& b) {
+  if (a.point != b.point) return false;
+  const int ra = kind_rank(a.kind), rb = kind_rank(b.kind);
+  return ra != rb ? ra < rb : a.rep < b.rep;
+}
+
+/// Export merge order: by point, then commit order; sequence numbers break
+/// ties so later appends win deterministically.
 bool record_less(const RowStore::Record& a, const RowStore::Record& b) {
   if (a.point != b.point) return a.point < b.point;
   const int ra = kind_rank(a.kind), rb = kind_rank(b.kind);
@@ -352,15 +358,14 @@ std::size_t Aggregator::load_store() {
     import_telemetry(std::vector<std::uint8_t>(total_points_, 0));
     return done_count_;
   }
-  // Validates the header against this campaign's identity hash and
-  // truncates a torn trailing record before we scan.
-  store_->open_append();
-
   const bool per_run = !per_run_path_.empty();
   std::vector<std::uint8_t> summary_live(total_points_, 0);
   std::vector<std::uint8_t> telemetry_live(total_points_, 0);
   std::vector<std::uint8_t> rep_live;
   if (per_run) rep_live.assign(total_points_ * replications_, 0);
+  // Scanned before open_append, which validates the header against this
+  // campaign's identity hash and truncates a torn trailing record: a
+  // refused resume must leave the store byte-unchanged.
   store_->scan([&](const RowStore::Record& r) {
     if (r.point >= total_points_) return;
     if (!owns(r.point)) {
@@ -369,16 +374,8 @@ std::size_t Aggregator::load_store() {
           store_path_ +
           " does not belong to this shard (wrong --shard/--out pairing?)");
     }
+    refuse_unexported(r.kind, store_path_);
     switch (r.kind) {
-      case RowStore::Kind::kTombstone:
-        summary_live[r.point] = 0;
-        telemetry_live[r.point] = 0;
-        if (per_run) {
-          std::fill_n(rep_live.begin() +
-                          static_cast<std::ptrdiff_t>(r.point * replications_),
-                      replications_, std::uint8_t{0});
-        }
-        break;
       case RowStore::Kind::kSummary:
         summary_live[r.point] = 1;
         break;
@@ -392,6 +389,7 @@ std::size_t Aggregator::load_store() {
         break;
     }
   });
+  store_->open_append();
 
   for (std::size_t p = 0; p < total_points_; ++p) {
     if (summary_live[p] == 0) continue;
@@ -430,6 +428,23 @@ void Aggregator::import_telemetry(std::vector<std::uint8_t> telemetry_live) {
     appended = true;
   }
   if (appended) store_->flush();
+}
+
+void Aggregator::refuse_unexported(RowStore::Kind kind,
+                                   const std::string& source) const {
+  const char* flag = nullptr;
+  if (kind == RowStore::Kind::kPerRun && per_run_path_.empty()) {
+    flag = "--per-run";
+  } else if (kind == RowStore::Kind::kTelemetry && metrics_path_.empty()) {
+    flag = "--metrics";
+  }
+  if (flag != nullptr) {
+    throw std::runtime_error(
+        "Aggregator: " + source + " holds " +
+        (kind == RowStore::Kind::kPerRun ? "per-run" : "telemetry") +
+        " rows that this campaign would not write; resume it with " + flag +
+        " (finishing without it would delete them with the store)");
+  }
 }
 
 std::size_t Aggregator::seed_store_from_csv() {
@@ -478,6 +493,46 @@ std::size_t Aggregator::load_existing() {
   return store_path_.empty() ? 0 : load_store();
 }
 
+std::vector<std::size_t> Aggregator::absorb(
+    const std::string& part_store_path) {
+  const std::lock_guard lock(mutex_);
+  if (store_path_.empty()) {
+    throw std::logic_error("Aggregator: absorb requires a summary CSV path");
+  }
+  const RowStore part(part_store_path, identity_hash_);
+  ensure_store();
+  const bool per_run = !per_run_path_.empty();
+  std::vector<std::size_t> absorbed;
+  std::vector<RowStore::Record> batch;
+  part.scan([&](const RowStore::Record& r) {
+    refuse_unexported(r.kind, part_store_path);
+    // Records that cannot continue the open batch start a new one: the
+    // open batch never reached its summary, so it is torn.
+    if (!batch.empty() && !continues_batch(batch.back(), r)) batch.clear();
+    batch.push_back(r);
+    if (r.kind != RowStore::Kind::kSummary) return;
+    std::size_t runs = 0;
+    for (const auto& b : batch) {
+      if (b.kind == RowStore::Kind::kPerRun) ++runs;
+    }
+    // Reps ascend strictly within a batch, so R per-run records below R
+    // are the whole group.
+    if (owns(r.point) && done_[r.point] == 0 &&
+        (!per_run ||
+         (runs == replications_ && batch[runs - 1].rep < replications_))) {
+      for (const auto& b : batch) {
+        store_->append(b.kind, b.point, b.rep, b.cells);
+      }
+      done_[r.point] = 1;
+      ++done_count_;
+      absorbed.push_back(r.point);
+    }
+    batch.clear();
+  });
+  store_->flush();
+  return absorbed;
+}
+
 void Aggregator::export_store(const std::vector<std::string>& trailers) {
   // Caller holds mutex_; store_ is open. External merge: buffer records up
   // to the spill budget, spill sorted runs, then k-way merge the runs with
@@ -497,20 +552,63 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
     }
   }
 
+  // Every temp file and spill run this export creates is deleted when it
+  // returns or throws (the renamed temps are gone by then): a failed write
+  // (ENOSPC, short write) replaces no artifact, and since finalize()
+  // deletes the store only after this returns, the store stays.
+  struct Scratch {
+    std::vector<std::string> paths;
+    ~Scratch() {
+      for (const auto& path : paths) {
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+      }
+    }
+  } scratch;
+
   std::vector<std::string> run_paths;
   std::vector<RowStore::Record> buffer;
   std::size_t buffered = 0;
   const auto spill = [&] {
     std::sort(buffer.begin(), buffer.end(), record_less);
     std::string path = store_path_ + ".run" + std::to_string(run_paths.size());
+    scratch.paths.push_back(path);
     RowStore::write_run(path, buffer);
     run_paths.push_back(std::move(path));
     buffer.clear();
     buffered = 0;
   };
+  // Records are buffered as their rendered line, the one cell the export
+  // writes: kept as separate strings, a row's cells cost several times its
+  // text. Records the export never writes (a wrong cell count, or a kind
+  // whose artifact is off) are dropped here.
+  const bool per_run = !per_run_path_.empty();
+  const bool metrics = !metrics_path_.empty();
   store_->scan([&](const RowStore::Record& r) {
-    buffered += record_bytes(r);
-    buffer.push_back(r);
+    std::string line;
+    switch (r.kind) {
+      case RowStore::Kind::kSummary:
+        if (r.cells.size() != columns_.size()) return;
+        line = csv_line(r.cells);
+        break;
+      case RowStore::Kind::kPerRun:
+        if (!per_run || r.rep >= replications_ ||
+            r.cells.size() != per_run_columns_.size()) {
+          return;
+        }
+        line = csv_line(r.cells);
+        break;
+      case RowStore::Kind::kTelemetry:
+        if (!metrics || r.cells.size() != 1) return;
+        line = r.cells.front();
+        break;
+    }
+    buffer.push_back({.kind = r.kind,
+                      .point = r.point,
+                      .rep = r.rep,
+                      .seq = r.seq,
+                      .cells = {std::move(line)}});
+    buffered += record_bytes(buffer.back());
     if (buffered >= budget) spill();
   });
   std::sort(buffer.begin(), buffer.end(), record_less);
@@ -542,15 +640,16 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
   }
 
   const std::string csv_tmp = csv_path_ + ".tmp";
+  scratch.paths.push_back(csv_tmp);
   std::ofstream csv_out(csv_tmp, std::ios::trunc);
   if (!csv_out) {
     throw std::runtime_error("Aggregator: cannot write " + csv_tmp);
   }
   csv_out << csv_line(columns_) << '\n';
   std::ofstream per_run_out;
-  const bool per_run = !per_run_path_.empty();
   const std::string per_run_tmp = per_run_path_ + ".tmp";
   if (per_run) {
+    scratch.paths.push_back(per_run_tmp);
     per_run_out.open(per_run_tmp, std::ios::trunc);
     if (!per_run_out) {
       throw std::runtime_error("Aggregator: cannot write " + per_run_tmp);
@@ -558,55 +657,39 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
     per_run_out << csv_line(per_run_columns_) << '\n';
   }
   std::ofstream metrics_out;
-  const bool metrics = !metrics_path_.empty();
   const std::string metrics_tmp = metrics_path_ + ".tmp";
   if (metrics) {
+    scratch.paths.push_back(metrics_tmp);
     metrics_out.open(metrics_tmp, std::ios::trunc);
     if (!metrics_out) {
       throw std::runtime_error("Aggregator: cannot write " + metrics_tmp);
     }
   }
 
-  // Per-point group state: last-wins by sequence number, with tombstones
-  // (which sort first) setting the liveness threshold. Only a complete
-  // group — live summary plus, in per-run mode, every replication — is
-  // rendered; torn batches and discarded generations vanish.
+  // Per-point group state, last-wins by sequence number. Only a complete
+  // group — summary plus, in per-run mode, every replication — is
+  // rendered; torn batches vanish.
   std::size_t cur_point = SIZE_MAX;
-  std::uint64_t tomb_seq = 0;
-  bool have_tomb = false;
   std::optional<RowStore::Record> summary;
   std::optional<RowStore::Record> telemetry;
   std::vector<std::optional<RowStore::Record>> latest_rep(
       per_run ? replications_ : 0);
 
-  // A record renders when it survives the point's tombstones and has the
-  // expected cell count.
-  const auto live = [&](const std::optional<RowStore::Record>& r,
-                        std::size_t cells) {
-    return r.has_value() && (!have_tomb || r->seq > tomb_seq) &&
-           r->cells.size() == cells;
-  };
   const auto emit_group = [&] {
     if (cur_point == SIZE_MAX) return;
-    bool complete = live(summary, columns_.size());
-    if (complete && per_run) {
-      for (std::size_t r = 0; complete && r < replications_; ++r) {
-        complete = live(latest_rep[r], per_run_columns_.size());
-      }
-    }
+    const bool complete =
+        summary.has_value() &&
+        std::all_of(latest_rep.begin(), latest_rep.end(),
+                    [](const auto& run) { return run.has_value(); });
     if (complete) {
-      if (per_run) {
-        for (std::size_t r = 0; r < replications_; ++r) {
-          per_run_out << csv_line(latest_rep[r]->cells) << '\n';
-        }
+      for (const auto& run : latest_rep) {
+        per_run_out << run->cells.front() << '\n';
       }
-      csv_out << csv_line(summary->cells) << '\n';
-      if (metrics && live(telemetry, 1)) {
+      csv_out << summary->cells.front() << '\n';
+      if (telemetry.has_value()) {
         metrics_out << telemetry->cells.front() << '\n';
       }
     }
-    tomb_seq = 0;
-    have_tomb = false;
     summary.reset();
     telemetry.reset();
     std::fill(latest_rep.begin(), latest_rep.end(), std::nullopt);
@@ -621,51 +704,48 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
       cur_point = r.point;
     }
     switch (r.kind) {
-      case RowStore::Kind::kTombstone:
-        tomb_seq = std::max(tomb_seq, r.seq);
-        have_tomb = true;
-        break;
       case RowStore::Kind::kSummary:
         if (!summary.has_value() || summary->seq < r.seq) summary = r;
         break;
       case RowStore::Kind::kTelemetry:
-        if (metrics && (!telemetry.has_value() || telemetry->seq < r.seq)) {
-          telemetry = r;
-        }
+        if (!telemetry.has_value() || telemetry->seq < r.seq) telemetry = r;
         break;
-      case RowStore::Kind::kPerRun:
-        if (per_run && r.rep < replications_) {
-          auto& slot = latest_rep[r.rep];
-          if (!slot.has_value() || slot->seq < r.seq) slot = r;
-        }
+      case RowStore::Kind::kPerRun: {
+        auto& slot = latest_rep[r.rep];
+        if (!slot.has_value() || slot->seq < r.seq) slot = r;
         break;
+      }
     }
     if (s->advance()) heap.push(s);
   }
   emit_group();
 
-  csv_out.close();
+  // Every artifact is written in full before any is replaced.
+  const auto close_checked = [](std::ofstream& out, const std::string& tmp) {
+    out.close();
+    if (!out) {
+      throw std::runtime_error("Aggregator: cannot write " + tmp +
+                               " (disk full?)");
+    }
+  };
+  close_checked(csv_out, csv_tmp);
+  if (per_run) close_checked(per_run_out, per_run_tmp);
+  if (metrics) {
+    for (const auto& trailer : trailers) metrics_out << trailer << '\n';
+    close_checked(metrics_out, metrics_tmp);
+  }
   if (std::rename(csv_tmp.c_str(), csv_path_.c_str()) != 0) {
     throw std::runtime_error("Aggregator: cannot replace " + csv_path_);
   }
-  if (per_run) {
-    per_run_out.close();
-    if (std::rename(per_run_tmp.c_str(), per_run_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + per_run_path_);
-    }
+  if (per_run &&
+      std::rename(per_run_tmp.c_str(), per_run_path_.c_str()) != 0) {
+    throw std::runtime_error("Aggregator: cannot replace " + per_run_path_);
   }
-  if (metrics) {
-    for (const auto& trailer : trailers) metrics_out << trailer << '\n';
-    metrics_out.close();
-    if (std::rename(metrics_tmp.c_str(), metrics_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + metrics_path_);
-    }
+  if (metrics &&
+      std::rename(metrics_tmp.c_str(), metrics_path_.c_str()) != 0) {
+    throw std::runtime_error("Aggregator: cannot replace " + metrics_path_);
   }
-  sources.clear();  // closes the run readers before unlinking
-  for (const auto& path : run_paths) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
+  sources.clear();  // closes the run readers before scratch unlinks them
 }
 
 bool Aggregator::is_done(std::size_t point) const {
@@ -784,43 +864,33 @@ void Aggregator::compact() {
   const std::lock_guard lock(mutex_);
   if (store_path_.empty()) return;
   // Export the current state; the store stays open and authoritative
-  // (tombstones and superseded generations resolve at export, so no store
-  // rewrite is needed).
+  // (superseded generations resolve at export, so no store rewrite is
+  // needed).
   ensure_store();
   export_store({});
-}
-
-void Aggregator::discard_points(const std::vector<std::size_t>& points) {
-  const std::lock_guard lock(mutex_);
-  bool changed = false;
-  for (const auto p : points) {
-    summaries_.erase(p);
-    if (p < done_.size() && done_[p] != 0) {
-      done_[p] = 0;
-      --done_count_;
-      if (!store_path_.empty()) {
-        ensure_store();
-        store_->append(RowStore::Kind::kTombstone, p, 0, {});
-        changed = true;
-      }
-    }
-  }
-  if (changed) store_->flush();
-}
-
-std::vector<std::size_t> Aggregator::done_points() const {
-  const std::lock_guard lock(mutex_);
-  std::vector<std::size_t> out;
-  out.reserve(done_count_);
-  for (std::size_t p = 0; p < done_.size(); ++p) {
-    if (done_[p] != 0) out.push_back(p);
-  }
-  return out;
 }
 
 std::size_t Aggregator::done_count() const {
   const std::lock_guard lock(mutex_);
   return done_count_;
+}
+
+void refuse_existing_outputs(const std::string& csv_path,
+                             const std::string& per_run_path,
+                             const std::string& metrics_path,
+                             const std::vector<std::string>& more) {
+  std::vector<std::string> paths = {
+      csv_path, per_run_path, metrics_path,
+      csv_path.empty() ? std::string() : RowStore::path_for(csv_path)};
+  paths.insert(paths.end(), more.begin(), more.end());
+  for (const auto& path : paths) {
+    std::error_code ec;
+    if (!path.empty() && std::filesystem::exists(path, ec)) {
+      throw std::runtime_error(path +
+                               " exists; pass --resume to continue its "
+                               "campaign or remove it to start over");
+    }
+  }
 }
 
 // --- Shard merging ----------------------------------------------------------

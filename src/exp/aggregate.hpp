@@ -26,7 +26,10 @@
 // Sharding: a campaign may be split across processes/machines with
 // `owned_points` — each shard aggregates only its own subset of the grid
 // into its own files, and merge_outputs() recombines the finalized shard
-// files into the exact bytes an unsharded run would have written.
+// files into the exact bytes an unsharded run would have written. The
+// orchestrator's workers record into their own row stores instead, which
+// the driver's aggregator absorb()s, so a drive finalizes through the same
+// export as a serial run.
 //
 // The JSON-lines artifact is not written here: render_jsonl() derives it
 // from a finalized point CSV, whichever mode produced that CSV.
@@ -111,11 +114,25 @@ class Aggregator {
   /// missing or torn is dropped and recomputed. When metrics_path names an
   /// existing file, its point rows are imported for owned, in-grid points
   /// that have no telemetry record yet; garbage, trailer, foreign and
-  /// out-of-grid lines are dropped silently (a finalized campaign, a
-  /// compacted worker part, or one written before telemetry rode the
-  /// store). Returns the number of points recovered. Call before the first
-  /// record().
+  /// out-of-grid lines are dropped silently (a finalized campaign, or one
+  /// written before telemetry rode the store). Also throws, before
+  /// touching the store, when the store holds per-run or telemetry records
+  /// that this aggregator has no per_run_path/metrics_path to export:
+  /// finalize() would delete them with the store. Returns the number of
+  /// points recovered. Call before the first record().
   std::size_t load_existing();
+
+  /// Copies every complete point batch of another row store written under
+  /// this campaign's identity (an orchestrator worker's part) into this
+  /// one, in a single pass, and flushes once. A batch is the run of one
+  /// point's records closed by its summary, the commit mark record()
+  /// writes; a batch without one is torn and skipped, and so is a point
+  /// this aggregator already holds (first absorb wins), which makes
+  /// absorbing the same part twice a no-op. Throws std::runtime_error on a
+  /// foreign store (identity mismatch) and under load_existing()'s rule
+  /// for per-run and telemetry records. Returns the absorbed points in
+  /// store order. Requires a CSV path; call after load_existing().
+  std::vector<std::size_t> absorb(const std::string& part_store_path);
 
   /// True if `point` already has a row (recorded now or recovered).
   [[nodiscard]] bool is_done(std::size_t point) const;
@@ -135,25 +152,14 @@ class Aggregator {
   /// Exports the output files in point order (temp file + atomic rename)
   /// and deletes the row store; `trailers` are appended to the telemetry
   /// file after its point rows. Requires every owned point recorded; throws
-  /// std::logic_error otherwise.
+  /// std::logic_error otherwise. A failed write (ENOSPC, short write)
+  /// throws std::runtime_error, replaces no artifact and keeps the store.
   void finalize(const std::vector<std::string>& trailers = {});
 
   /// finalize() without the completeness requirement or trailers: exports
-  /// whatever is recorded so far in point order and keeps the store.
-  /// Orchestrator workers call this on clean shutdown so a part file is
-  /// always sorted and free of torn rows even though the worker owns only
-  /// the leases it happened to receive.
+  /// whatever is recorded so far in point order and keeps the store
+  /// (pas-exp --export of an interrupted campaign).
   void compact();
-
-  /// Forgets the given points (recorded or recovered) by appending
-  /// tombstones to the store; the next export omits them. The
-  /// orchestrator's crash recovery uses this to drop rows that a dead
-  /// worker wrote for a point another worker already completed — the
-  /// duplicate would otherwise poison merge_outputs().
-  void discard_points(const std::vector<std::size_t>& points);
-
-  /// Point indices that currently have a row, ascending.
-  [[nodiscard]] std::vector<std::size_t> done_points() const;
 
   [[nodiscard]] std::size_t done_count() const;
   [[nodiscard]] std::size_t total_points() const noexcept { return total_points_; }
@@ -211,6 +217,10 @@ class Aggregator {
   /// load_store: appends the metrics file's rows for points whose entry in
   /// `telemetry_live` is 0.
   void import_telemetry(std::vector<std::uint8_t> telemetry_live);
+  /// Throws when `source` holds a record of `kind` that the export would
+  /// drop (per-run rows without per_run_path, telemetry without
+  /// metrics_path).
+  void refuse_unexported(RowStore::Kind kind, const std::string& source) const;
   /// finalize/compact: external-merge export of the point CSV, per-run and
   /// telemetry artifacts (spill runs + k-way merge). Caller must hold mutex_.
   void export_store(const std::vector<std::string>& trailers);
@@ -242,10 +252,20 @@ class Aggregator {
   std::size_t done_count_ = 0;
 };
 
+/// Throws std::runtime_error naming the first of a campaign's files that
+/// exists: its CSV, per-run and telemetry artifacts (empty paths are
+/// skipped), the CSV's row store, and `more` (a driver's worker parts). A
+/// campaign started without resume must neither replace nor silently
+/// continue them.
+void refuse_existing_outputs(const std::string& csv_path,
+                             const std::string& per_run_path,
+                             const std::string& metrics_path,
+                             const std::vector<std::string>& more = {});
+
 /// Recombines finalized shard outputs into `out_path`, byte-identical to
 /// the file an unsharded run would have produced. All inputs must carry an
 /// identical header and list their rows in ascending (point, rep) order, as
-/// finalize(), compact() and --export write them; an unsorted input is
+/// finalize() and compact() (--export) write them; an unsorted input is
 /// rejected (resuming its campaign re-exports it sorted). Every
 /// (point, rep) may appear in exactly one input, and the merged point set
 /// must be gap-free from 0. Works for both the

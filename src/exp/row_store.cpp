@@ -95,7 +95,7 @@ bool decode_payload(const char* data, std::size_t size, bool with_seq,
   auto need = [&](std::size_t n) { return size - pos >= n; };
   if (!need(1)) return false;
   const auto kind = static_cast<std::uint8_t>(data[pos++]);
-  if (kind < 1 || kind > 4) return false;
+  if (kind != 1 && kind != 2 && kind != 4) return false;
   out.kind = static_cast<RowStore::Kind>(kind);
   if (with_seq) {
     if (!need(8)) return false;

@@ -2,8 +2,8 @@
 //
 // The Aggregator's bounded-memory backend: completed rows are appended to a
 // compact binary log instead of being kept as in-memory string maps. Each
-// record carries its kind (per-run row, point summary, telemetry row, or
-// tombstone), its (point, rep) key, and the row's cell strings verbatim, so
+// record carries its kind (per-run row, point summary or telemetry row),
+// its (point, rep) key, and the row's cell strings verbatim, so
 // the export step renders the CSV and --metrics bytes from them without
 // reformatting anything.
 //
@@ -43,9 +43,8 @@ class RowStore {
   enum class Kind : std::uint8_t {
     kPerRun = 1,
     kSummary = 2,
-    /// Invalidates every earlier record for its point (crash recovery's
-    /// discard_points); an O(1) append instead of a file rewrite.
-    kTombstone = 3,
+    // 3 is retired (it was a tombstone); the decoder rejects it like any
+    // unknown kind, so such a record ends the clean prefix.
     /// One cell: the point's --metrics JSONL row, verbatim. Appended in
     /// the point's batch before the summary, so the summary's commit mark
     /// covers it too.
@@ -57,8 +56,7 @@ class RowStore {
     std::size_t point = 0;
     std::size_t rep = 0;
     /// Monotonic within a store file: the record's byte offset. Later
-    /// records win when a (point, rep) appears more than once, and a
-    /// tombstone kills exactly the records appended before it.
+    /// records win when a (point, rep) appears more than once.
     std::uint64_t seq = 0;
     std::vector<std::string> cells;
   };

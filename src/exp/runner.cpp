@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <future>
 #include <map>
 #include <mutex>
@@ -146,10 +145,20 @@ NetInstruments make_net_instruments(obs::Registry& registry) {
 
 }  // namespace
 
-world::ReplicatedMetrics run_point(const GridPoint& point,
-                                   std::size_t replications,
-                                   runtime::ThreadPool* pool) {
-  return world::run_replicated(point.config, replications, pool);
+AggregatorOptions campaign_aggregator_options(
+    const Manifest& manifest, const std::vector<GridPoint>& points,
+    std::string out_csv, std::string per_run_csv, std::string metrics_path) {
+  AggregatorOptions options;
+  options.csv_path = std::move(out_csv);
+  options.per_run_path = std::move(per_run_csv);
+  options.metrics_path = std::move(metrics_path);
+  options.axis_names = axis_columns(manifest);
+  options.total_points = points.size();
+  options.replications = manifest.replications;
+  // Resume rejects rows produced by a different manifest via the expected
+  // per-point identity cells.
+  options.expected_identity = grid_identity(points);
+  return options;
 }
 
 CampaignReport run_campaign(const Manifest& manifest,
@@ -164,40 +173,21 @@ CampaignReport run_campaign(const Manifest& manifest,
         "run_campaign: shard_index must be < shard_count");
   }
   const auto points = expand_grid(manifest);
-
-  // An interrupted campaign may exist only as its row store (out_csv is
-  // written at finalize).
-  const std::string store_path = options.out_csv.empty()
-                                     ? std::string()
-                                     : RowStore::path_for(options.out_csv);
-  if (!options.resume) {
-    for (const auto& path : {options.out_csv, options.per_run_csv,
-                             options.metrics_path, store_path}) {
-      if (!path.empty() && std::filesystem::exists(path)) {
-        throw std::runtime_error("run_campaign: " + path +
-                                 " exists; pass resume to continue it or "
-                                 "remove it to start over");
-      }
-    }
-  }
-
   if (!options.owned_points.empty() && options.shard_count > 1) {
     throw std::invalid_argument(
         "run_campaign: owned_points and shard_index/shard_count are "
         "mutually exclusive ownership specs");
   }
 
+  if (!options.resume) {
+    refuse_existing_outputs(options.out_csv, options.per_run_csv,
+                            options.metrics_path);
+  }
+
   const auto axis_names = axis_columns(manifest);
-  AggregatorOptions agg_options;
-  agg_options.csv_path = options.out_csv;
-  agg_options.per_run_path = options.per_run_csv;
-  agg_options.metrics_path = options.metrics_path;
-  agg_options.axis_names = axis_names;
-  agg_options.total_points = points.size();
-  agg_options.replications = manifest.replications;
-  // Resume rejects rows produced by a different manifest via the expected
-  // per-point identity cells.
-  agg_options.expected_identity = grid_identity(points);
+  auto agg_options = campaign_aggregator_options(
+      manifest, points, options.out_csv, options.per_run_csv,
+      options.metrics_path);
   if (!options.owned_points.empty()) {
     agg_options.owned_points = options.owned_points;
   } else if (options.shard_count > 1) {

@@ -94,12 +94,14 @@ struct CampaignReport {
   bool interrupted = false;
 };
 
-/// Runs one replicated point exactly as a campaign job would (benches and
-/// tests share the engine's execution path through this). A non-null
-/// `pool` executes the replications in parallel with identical results.
-[[nodiscard]] world::ReplicatedMetrics run_point(
-    const GridPoint& point, std::size_t replications,
-    runtime::ThreadPool* pool = nullptr);
+/// The aggregator options of a campaign over `points` (the manifest's
+/// expanded grid) that writes `out_csv` and the optional per-run and
+/// telemetry outputs. Every process that records or exports the campaign's
+/// rows (run_campaign, drive workers, the driver, --export) builds its
+/// aggregator from these, so their row stores share one identity.
+[[nodiscard]] AggregatorOptions campaign_aggregator_options(
+    const Manifest& manifest, const std::vector<GridPoint>& points,
+    std::string out_csv, std::string per_run_csv, std::string metrics_path);
 
 /// Executes the campaign (or this process's shard of it). Throws on
 /// manifest/IO errors; a failing point's exception propagates after

@@ -154,6 +154,13 @@ std::size_t merge_telemetry(const std::vector<std::string>& inputs,
     }
     for (const auto& entry : rows) out << entry.second << '\n';
     for (const auto& trailer : trailers) out << trailer.dump() << '\n';
+    out.close();
+    if (!out) {
+      // A short write (ENOSPC) must not replace the output.
+      std::error_code ec;
+      std::filesystem::remove(tmp, ec);
+      throw std::runtime_error("merge_telemetry: cannot write " + tmp);
+    }
   }
   std::filesystem::rename(tmp, out_path);
   return rows.size();

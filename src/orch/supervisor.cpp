@@ -17,7 +17,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -26,7 +25,7 @@
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
 #include "exp/row_store.hpp"
-#include "exp/telemetry.hpp"
+#include "exp/runner.hpp"
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
@@ -138,42 +137,38 @@ class SignalGuard {
   struct sigaction old_int_{}, old_term_{}, old_pipe_{};
 };
 
-std::vector<int> discover_part_ids(const std::string& out_csv) {
+/// The worker part stores `<out>.w<k>.pasrows` left by a drive that was
+/// killed before it could absorb them, sorted.
+std::vector<std::string> discover_part_stores(const std::string& out_csv) {
   const fs::path out(out_csv);
   fs::path dir = out.parent_path();
   if (dir.empty()) dir = ".";
   const std::string prefix = out.filename().string() + ".w";
-  std::vector<int> ids;
-  if (!fs::is_directory(dir)) return ids;
+  constexpr std::string_view kStoreExt = ".pasrows";
+  std::vector<std::string> paths;
+  if (!fs::is_directory(dir)) return paths;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0) {
+    if (name.size() <= prefix.size() + kStoreExt.size() ||
+        name.compare(0, prefix.size(), prefix) != 0 ||
+        !name.ends_with(kStoreExt)) {
       continue;
     }
-    std::string tail = name.substr(prefix.size());
-    // A SIGTERMed/SIGKILLed worker leaves only "<part>.pasrows" behind
-    // (the CSV materializes on compact, which a kill skips), so part
-    // discovery must see through the store extension.
-    constexpr std::string_view kStoreExt = ".pasrows";
-    if (tail.size() > kStoreExt.size() && tail.ends_with(kStoreExt)) {
-      tail.resize(tail.size() - kStoreExt.size());
-    }
+    const std::string tail = name.substr(
+        prefix.size(), name.size() - prefix.size() - kStoreExt.size());
     int id = 0;
     const auto [ptr, ec] =
         std::from_chars(tail.data(), tail.data() + tail.size(), id);
-    // Canonical ".w<k>" names only (prescan and merge reconstruct the path
-    // from the id): reject trailing junk (".w0.tmp"), overflow-wide
-    // suffixes, and leading zeros (".w0009") rather than mis-claiming.
+    // Canonical ".w<k>" names only: reject trailing junk (".w0.tmp"),
+    // overflow-wide suffixes, and leading zeros (".w0009").
     if (ec != std::errc{} || ptr != tail.data() + tail.size() || id < 0 ||
         std::to_string(id) != tail) {
       continue;
     }
-    ids.push_back(id);
+    paths.push_back(entry.path().string());
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 class Driver {
@@ -224,14 +219,15 @@ class Driver {
     Clock::time_point last_line{};
     std::size_t points_done = 0;  // completed this spawn (progress display)
     std::string part_csv;
-    std::string part_runs;
-    std::string part_metrics;
   };
 
-  void prescan();
-  std::size_t sanitize_and_claim(const std::string& csv,
-                                 const std::string& runs,
-                                 const std::string& metrics, int tag);
+  /// Builds the campaign's store, loads what it (or its finalized CSVs)
+  /// already holds, absorbs `parts`, and claims every loaded point.
+  void open_store(const std::vector<std::string>& parts);
+  /// Absorbs worker `w`'s part store into the driver's and deletes it;
+  /// returns how many of its points the protocol had not claimed yet (they
+  /// are now claimed by `w` and counted as computed).
+  std::size_t absorb_part(const Worker& w);
   void spawn(int id);
   bool send(Worker& w, const std::string& line);
   void assign(Worker& w);
@@ -244,7 +240,6 @@ class Driver {
   void doom(Worker& w, std::string reason);
   void close_fds(Worker& w);
   void interrupt_children();
-  void merge_and_clean();
   void print_point(const Worker& w, std::size_t point);
   void print_progress(bool force);
   /// Appends the ring buffer of recent protocol exchanges to
@@ -256,13 +251,11 @@ class Driver {
   const DriveOptions& options_;
 
   std::vector<exp::GridPoint> points_;
-  std::vector<std::string> axis_names_;
-  std::vector<std::vector<std::string>> identity_;
 
-  /// point → owning source: a worker/part id, or -1 for the resumed --out.
+  /// The campaign's one store: resumed rows and every absorbed part.
+  std::unique_ptr<exp::Aggregator> aggregator_;
+  /// point → claiming worker id, or -1 for rows loaded by open_store.
   std::map<std::size_t, int> claimed_;
-  std::set<int> all_part_ids_;
-  bool out_is_merge_seed_ = false;
   int next_worker_id_ = 0;
 
   std::unique_ptr<WorkQueue> queue_;
@@ -298,81 +291,36 @@ std::size_t Driver::eligible_workers() const {
   return std::max<std::size_t>(1, n);
 }
 
-std::size_t Driver::sanitize_and_claim(const std::string& csv,
-                                       const std::string& runs,
-                                       const std::string& metrics, int tag) {
-  exp::AggregatorOptions agg_options;
-  agg_options.csv_path = csv;
-  agg_options.per_run_path = runs;
-  agg_options.metrics_path = metrics;
-  agg_options.axis_names = axis_names_;
-  agg_options.total_points = points_.size();
-  agg_options.replications = manifest_.replications;
-  agg_options.expected_identity = identity_;
-  exp::Aggregator aggregator(std::move(agg_options));
-  // The identity-checked resume path: throws if the file belongs to a
-  // different manifest, silently drops rows torn by a kill. It reads
-  // `<csv>.pasrows` when present (the mid-flight ground truth) and falls
-  // back to seeding the store from the CSV otherwise.
-  aggregator.load_existing();
-  // A point may appear in two part files when a worker wrote its row but
-  // died before reporting it and the lease was reassigned. First claim
-  // wins; the duplicate row is physically removed so merge_outputs()
-  // (which rejects overlaps) sees each point exactly once.
-  std::vector<std::size_t> duplicates;
-  for (const auto p : aggregator.done_points()) {
-    const auto it = claimed_.find(p);
-    if (it != claimed_.end() && it->second != tag) duplicates.push_back(p);
-  }
-  aggregator.discard_points(duplicates);
+std::size_t Driver::absorb_part(const Worker& w) {
+  // A worker that died before its first record left no store: nothing to
+  // absorb, nothing to delete.
+  const std::string part = exp::RowStore::path_for(w.part_csv);
   std::size_t fresh = 0;
-  for (const auto p : aggregator.done_points()) {
-    if (claimed_.emplace(p, tag).second) ++fresh;
+  for (const auto p : aggregator_->absorb(part)) {
+    if (claimed_.emplace(p, w.id).second) ++fresh;
   }
-  // Materialize the duplicate-free CSV (and telemetry) now so
-  // merge_and_clean (which reads the exported part files) sees every
-  // surviving row, including those of a killed worker that never compacted.
-  aggregator.compact();
+  // Deleted only after absorb's flush: a kill in between leaves the part
+  // for the next --resume, whose absorb finds every point held already.
+  fs::remove(part);
+  report_.computed += fresh;
   return fresh;
 }
 
-void Driver::prescan() {
-  // An interrupted run may have its data only in the row store (the CSV
-  // materializes at compact/finalize), so "the output exists" must
-  // consider `<out>.pasrows` too.
-  const bool out_exists =
-      fs::exists(options_.out_csv) ||
-      fs::exists(exp::RowStore::path_for(options_.out_csv));
-  const bool runs_exists =
-      !options_.per_run_csv.empty() && fs::exists(options_.per_run_csv);
-  const auto existing_parts = discover_part_ids(options_.out_csv);
-  if (!options_.resume) {
-    if (out_exists || runs_exists || !existing_parts.empty()) {
-      throw std::runtime_error(
-          "drive: " + options_.out_csv +
-          (existing_parts.empty() ? "" : " (and .w* part files)") +
-          " exists; pass --resume to continue it or remove it to start "
-          "over");
-    }
-    return;
+void Driver::open_store(const std::vector<std::string>& parts) {
+  aggregator_ = std::make_unique<exp::Aggregator>(
+      exp::campaign_aggregator_options(manifest_, points_, options_.out_csv,
+                                       options_.per_run_csv,
+                                       options_.metrics_path));
+  // An interrupted campaign of any topology resumes from its one store
+  // (or its finalized CSVs); the parts of a drive killed before it could
+  // absorb them join it here.
+  report_.resumed = aggregator_->load_existing();
+  for (const auto& part : parts) {
+    report_.resumed += aggregator_->absorb(part).size();
+    fs::remove(part);
   }
-  if (out_exists || runs_exists) {
-    // An interrupted single-process run (or a finished merge) seeds the
-    // claim set — drive resume composes with every earlier topology.
-    report_.resumed += sanitize_and_claim(
-        options_.out_csv, options_.per_run_csv, options_.metrics_path, -1);
-    out_is_merge_seed_ = true;
-  }
-  for (const int id : existing_parts) {
-    const std::string runs =
-        options_.per_run_csv.empty() ? std::string()
-                                     : part_path(options_.per_run_csv, id);
-    const std::string metrics =
-        options_.metrics_path.empty() ? std::string()
-                                      : part_path(options_.metrics_path, id);
-    report_.resumed += sanitize_and_claim(part_path(options_.out_csv, id),
-                                          runs, metrics, id);
-    all_part_ids_.insert(id);
+  for (std::size_t p = 0; p < points_.size(); ++p) {
+    if (aggregator_->is_done(p)) claimed_.emplace(p, -1);
   }
 }
 
@@ -380,12 +328,6 @@ void Driver::spawn(int id) {
   Worker w;
   w.id = id;
   w.part_csv = part_path(options_.out_csv, id);
-  w.part_runs = options_.per_run_csv.empty()
-                    ? std::string()
-                    : part_path(options_.per_run_csv, id);
-  w.part_metrics = options_.metrics_path.empty()
-                       ? std::string()
-                       : part_path(options_.metrics_path, id);
 
   // argv is built *before* fork: between fork and exec only
   // async-signal-safe calls are legal (a host with threads — the tests —
@@ -396,13 +338,13 @@ void Driver::spawn(int id) {
       "--manifest",      options_.manifest_path,
       "--out",           w.part_csv,
       "--jobs",          std::to_string(options_.jobs_per_worker)};
-  if (!w.part_runs.empty()) {
+  if (!options_.per_run_csv.empty()) {
     args.push_back("--per-run");
-    args.push_back(w.part_runs);
+    args.push_back(part_path(options_.per_run_csv, id));
   }
-  if (!w.part_metrics.empty()) {
+  if (!options_.metrics_path.empty()) {
     args.push_back("--metrics");
-    args.push_back(w.part_metrics);
+    args.push_back(part_path(options_.metrics_path, id));
   }
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -441,7 +383,6 @@ void Driver::spawn(int id) {
   w.in_fd = to_worker[1];
   w.out_fd = from_worker[0];
   w.last_line = Clock::now();
-  all_part_ids_.insert(id);
   ++report_.workers_spawned;
   workers_.push_back(std::make_unique<Worker>(std::move(w)));
   feed_->worker_event("spawn", id, "pid " + std::to_string(pid));
@@ -532,9 +473,9 @@ void Driver::handle_line(Worker& w, const std::string& line) {
       ++report_.computed;
       ++w.points_done;
       {
-        // Identity-only row: the supervisor never parses worker CSV, so
-        // the live view carries what the protocol proves — which point
-        // finished, on which worker.
+        // Identity-only row: the worker's rows reach the driver only when
+        // its part is absorbed, so the live view carries what the protocol
+        // proves — which point finished, on which worker.
         io::JsonObject row;
         row["point"] = msg->point;
         row["seed"] = std::to_string(points_[msg->point].seed);
@@ -609,19 +550,16 @@ void Driver::crash_recover(Worker& w) {
                                               : w.doom_reason));
   std::vector<std::size_t> unfinished;
   if (w.has_lease) unfinished = leases_.revoke(w.lease);
-  // The part file is ground truth: rows are flushed before point_done is
+  // The part store is ground truth: rows are flushed before point_done is
   // sent, so points the dead worker finished but never reported are
-  // recovered from disk instead of being recomputed (and rows duplicated
-  // against other parts are removed).
-  const std::size_t recovered_from_disk =
-      sanitize_and_claim(w.part_csv, w.part_runs, w.part_metrics, w.id);
-  report_.computed += recovered_from_disk;
+  // recovered from disk instead of being recomputed.
+  const std::size_t recovered_from_disk = absorb_part(w);
   recovered_rows_.add(recovered_from_disk);
   feed_->add_recovered(recovered_from_disk);
   if (recovered_from_disk > 0) {
     feed_->worker_event("recovered", w.id,
                         std::to_string(recovered_from_disk) +
-                            " rows from part file");
+                            " rows from part store");
   }
   std::erase_if(unfinished,
                 [this](std::size_t p) { return claimed_.count(p) > 0; });
@@ -670,7 +608,9 @@ void Driver::reap() {
     close_fds(w);
     const bool clean = !w.doomed && w.quit_sent && !w.has_lease &&
                        WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!clean) {
+    if (clean) {
+      absorb_part(w);
+    } else {
       if (w.doomed) {
         std::fprintf(stderr, "pas-exp: worker %d failed: %s\n", w.id,
                      w.doom_reason.c_str());
@@ -685,7 +625,7 @@ void Driver::interrupt_children() {
   for (const auto& w : workers_) {
     if (w->pid > 0) ::kill(w->pid, SIGTERM);
   }
-  // Completed rows are already flushed to the part files, so a graceful
+  // Completed rows are already flushed to the part stores, so a graceful
   // window is a courtesy, not a correctness requirement.
   const auto deadline = Clock::now() + std::chrono::seconds(2);
   for (const auto& w : workers_) {
@@ -701,79 +641,12 @@ void Driver::interrupt_children() {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
+    w->pid = -1;  // reaped: the exception path must not signal a reused pid
     close_fds(*w);
+    // The interrupted campaign is then one store, as a serial run leaves.
+    absorb_part(*w);
   }
   workers_.clear();
-}
-
-void Driver::merge_and_clean() {
-  std::vector<std::string> inputs;
-  std::vector<std::string> run_inputs;
-  if (out_is_merge_seed_) {
-    inputs.push_back(options_.out_csv);
-    if (!options_.per_run_csv.empty() && fs::exists(options_.per_run_csv)) {
-      run_inputs.push_back(options_.per_run_csv);
-    }
-  }
-  std::vector<std::string> part_files;
-  for (const int id : all_part_ids_) {
-    const auto csv = part_path(options_.out_csv, id);
-    if (fs::exists(csv)) {
-      inputs.push_back(csv);
-      part_files.push_back(csv);
-    }
-    if (!options_.per_run_csv.empty()) {
-      const auto runs = part_path(options_.per_run_csv, id);
-      if (fs::exists(runs)) {
-        run_inputs.push_back(runs);
-        part_files.push_back(runs);
-      }
-    }
-  }
-  // Byte-identical to a serial run: merge validates every row against the
-  // manifest, rejects overlaps and gaps, and re-emits raw rows in point
-  // order via temp file + rename.
-  report_.merged_rows =
-      exp::merge_outputs(inputs, options_.out_csv, &manifest_);
-  if (!options_.per_run_csv.empty()) {
-    exp::merge_outputs(run_inputs, options_.per_run_csv, &manifest_);
-  }
-  for (const auto& path : part_files) fs::remove(path);
-  // Row stores are stale the moment the merged CSV exists; sweep them
-  // unconditionally (no-ops when absent) so `<out>.w*` globs come up empty
-  // and a later resume never prefers a dead store over the merged output.
-  for (const int id : all_part_ids_) {
-    fs::remove(exp::RowStore::path_for(part_path(options_.out_csv, id)));
-  }
-  fs::remove(exp::RowStore::path_for(options_.out_csv));
-
-  if (!options_.metrics_path.empty()) {
-    // Telemetry parts merge in the same priority order the CSV claims used
-    // (resumed --metrics file first, then parts by id); the point rows are
-    // identical whichever source wins, so the merged file's point section
-    // is byte-identical to a single-process run's. The trailer is this
-    // drive's wall-clock story and is the one part that legitimately
-    // differs between schedules.
-    std::vector<std::string> metric_inputs;
-    std::vector<std::string> metric_parts;
-    if (out_is_merge_seed_ && fs::exists(options_.metrics_path)) {
-      metric_inputs.push_back(options_.metrics_path);
-    }
-    for (const int id : all_part_ids_) {
-      const auto part = part_path(options_.metrics_path, id);
-      if (fs::exists(part)) {
-        metric_inputs.push_back(part);
-        metric_parts.push_back(part);
-      }
-    }
-    io::JsonObject trailer;
-    trailer["kind"] = "registry";
-    trailer["scope"] = "orchestrator";
-    trailer["instruments"] = obs::snapshot_json(registry_.snapshot());
-    exp::merge_telemetry(metric_inputs, options_.metrics_path,
-                         {io::Json(std::move(trailer))});
-    for (const auto& path : metric_parts) fs::remove(path);
-  }
 }
 
 void Driver::dump_flight_recorder(const std::string& why) {
@@ -830,17 +703,20 @@ DriveReport Driver::run() {
   }
   if (options_.out_csv.empty()) {
     // Unlike run_campaign (which aggregates in memory for benches), a
-    // drive without an output would compute the whole grid into hidden
-    // ".w<k>" files and then fail at the merge.
+    // drive records through part row stores, which need an output path.
     throw std::invalid_argument("drive: out_csv must not be empty");
   }
   points_ = exp::expand_grid(manifest_);
-  axis_names_ = exp::axis_columns(manifest_);
-  identity_ = exp::grid_identity(points_);
   report_.total_points = points_.size();
   report_.replications = manifest_.replications;
 
-  prescan();
+  const auto parts = discover_part_stores(options_.out_csv);
+  if (options_.resume) {
+    open_store(parts);
+  } else {
+    exp::refuse_existing_outputs(options_.out_csv, options_.per_run_csv,
+                                 options_.metrics_path, parts);
+  }
 
   std::vector<std::size_t> pending;
   for (std::size_t p = 0; p < points_.size(); ++p) {
@@ -848,9 +724,7 @@ DriveReport Driver::run() {
   }
   queue_ = std::make_unique<WorkQueue>(std::move(pending),
                                        options_.max_lease);
-  next_worker_id_ =
-      std::max<int>(static_cast<int>(options_.workers),
-                    all_part_ids_.empty() ? 0 : *all_part_ids_.rbegin() + 1);
+  next_worker_id_ = static_cast<int>(options_.workers);
 
   feed_->begin_campaign(manifest_.name, 0, points_.size(),
                         manifest_.replications, claimed_.size());
@@ -896,6 +770,9 @@ DriveReport Driver::run() {
     for (std::size_t i = 0; i < to_spawn; ++i) {
       spawn(static_cast<int>(i));
     }
+    // A fresh drive builds its (empty) store while the workers start up:
+    // nothing reads it before the first worker exits.
+    if (!aggregator_) open_store({});
 
     while (!workers_.empty()) {
       std::vector<pollfd> fds;
@@ -973,7 +850,18 @@ DriveReport Driver::run() {
           "drive: internal error — workers exited with work outstanding");
     }
     print_progress(true);
-    merge_and_clean();
+    // One export for every topology: the same code as a serial finalize,
+    // plus the orchestrator's registry snapshot as the telemetry trailer.
+    std::vector<std::string> trailers;
+    if (!options_.metrics_path.empty()) {
+      io::JsonObject trailer;
+      trailer["kind"] = "registry";
+      trailer["scope"] = "orchestrator";
+      trailer["instruments"] = obs::snapshot_json(registry_.snapshot());
+      trailers.push_back(io::Json(std::move(trailer)).dump());
+    }
+    aggregator_->finalize(trailers);
+    report_.merged_rows = aggregator_->done_count();
   }
   feed_->end_campaign(report_.interrupted);
   report_.wall_s =

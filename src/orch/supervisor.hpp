@@ -8,28 +8,36 @@
 // liveness through the heartbeat/progress protocol (src/orch/worker_link
 // .hpp), and recovers from failure:
 //
-//  * Crashed worker (non-zero exit, SIGKILL, protocol violation): the
-//    driver re-reads the dead worker's part file — rows are flushed before
-//    `point_done` is sent, so the file is ground truth — claims whatever
-//    actually finished, drops rows duplicated against other parts, pushes
-//    the unfinished lease points back to the queue, and spawns a
-//    replacement (bounded by max_respawns).
+// The driver owns the campaign's one exp::Aggregator on --out/--per-run/
+// --metrics, built exactly as run_campaign builds its own. Each worker
+// records into its own part store `<out>.w<k>.pasrows`, and the driver
+// absorbs that store into its own (exp::Aggregator::absorb: complete point
+// batches only, first absorb wins) and deletes it whenever the worker
+// exits:
+//
+//  * Clean exit (after `quit`): every point was already claimed through
+//    the protocol.
+//  * Crashed worker (non-zero exit, SIGKILL, protocol violation): rows are
+//    flushed before `point_done` is sent, so the part is ground truth;
+//    points it holds that the protocol never claimed count as recovered.
+//    The unfinished lease points go back to the queue, and a replacement
+//    is spawned (bounded by max_respawns).
 //  * Hung worker (no protocol line for hang_timeout_s): SIGKILLed and
 //    handled as a crash.
-//  * SIGINT/SIGTERM: children are terminated, every part file is left
-//    independently resumable, and the report says so; the CLI prints the
-//    exact command that continues the campaign.
+//  * SIGINT/SIGTERM: children are terminated and their parts absorbed, so
+//    an interrupted drive leaves the single `<out>.pasrows` an interrupted
+//    serial run leaves (pas-exp --export, a serial --resume and
+//    `--drive N --resume` all finish it); the CLI prints the exact command
+//    that continues the campaign.
 //
-// On completion the driver runs exp::merge_outputs over the part files
-// (validated against the manifest) and deletes them — the merged output is
-// byte-identical to a serial `pas-exp` run, because every point's seeds
-// derive from the manifest alone and merge re-emits raw rows in point
-// order.
+// On completion the driver finalizes its aggregator — the same export a
+// serial run ends with, plus the orchestrator's registry trailer — so the
+// output is byte-identical to a serial `pas-exp` run, because every
+// point's seeds derive from the manifest alone.
 //
-// Resume composes across topologies: `--drive --resume` claims rows from
-// an existing --out (e.g. an interrupted single-process run) and from any
-// `<out>.w<k>` part files (from a previous drive with any worker count)
-// before scheduling only the rest.
+// Resume composes across topologies: `--drive --resume` loads the store
+// (or finalized CSVs) of any earlier run and absorbs the parts of a drive
+// that was killed before it could, then schedules only the rest.
 #pragma once
 
 #include <cstdint>
@@ -51,18 +59,19 @@ struct DriveOptions {
   /// which is what keeps every process's view of point seeds identical).
   std::string manifest_path;
   std::string out_csv;
-  /// Optional per-replication CSV; part files get the same ".w<k>" suffix.
+  /// Optional per-replication CSV; workers record its rows in their parts.
   std::string per_run_csv;
-  /// Optional telemetry JSONL (pas-exp --metrics). Workers write ".w<k>"
-  /// parts; the driver merges them and appends its own orchestrator-scope
-  /// registry snapshot (lease latency, heartbeat gaps, respawns) as the
-  /// trailer row. Also arms the driver-side instruments.
+  /// Optional telemetry JSONL (pas-exp --metrics). Workers record each
+  /// point's row in their parts; the driver's export appends its own
+  /// orchestrator-scope registry snapshot (lease latency, heartbeat gaps,
+  /// respawns) as the trailer row. Also arms the driver-side instruments.
   std::string metrics_path;
   /// Worker processes to spawn (capped by the number of pending points).
   std::size_t workers = 2;
   /// Threads per worker for replication-parallel points.
   std::size_t jobs_per_worker = 1;
-  /// Claim rows from existing --out / part files instead of erroring.
+  /// Resume the existing --out store (or CSVs) and part stores instead of
+  /// erroring.
   bool resume = false;
   /// Kill a worker silent for this long (heartbeats tick every 0.5 s);
   /// 0 disables hang detection.
@@ -93,15 +102,15 @@ struct DriveOptions {
 struct DriveReport {
   std::size_t total_points = 0;
   std::size_t computed = 0;  // points simulated by this invocation
-  std::size_t resumed = 0;   // rows claimed from existing outputs
+  std::size_t resumed = 0;   // points loaded from existing outputs/parts
   std::size_t replications = 0;
   std::size_t workers_spawned = 0;  // initial spawns + respawns
   std::size_t crashes = 0;          // workers that died without clean quit
   std::size_t respawns = 0;
-  std::size_t merged_rows = 0;
+  std::size_t merged_rows = 0;  // point rows in the finalized --out
   double wall_s = 0.0;
-  /// True when SIGINT/SIGTERM stopped the drive early; outputs are left
-  /// resumable and no merge was attempted.
+  /// True when SIGINT/SIGTERM stopped the drive early; the store is left
+  /// resumable and nothing was exported.
   bool interrupted = false;
 };
 

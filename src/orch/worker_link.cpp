@@ -19,6 +19,7 @@
 #include "exp/runner.hpp"
 #include "exp/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
+#include "world/sweep.hpp"
 
 namespace pas::orch {
 
@@ -242,10 +243,10 @@ std::string format_quit() { return "quit"; }
 // --- Worker main loop -------------------------------------------------------
 
 int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
-  // A dead driver must surface as EPIPE from send() (→ orderly shutdown
-  // with a compacted part file), not as a SIGPIPE that kills the worker
-  // mid-record. The supervisor resets the disposition to default before
-  // exec, so this is the worker's own responsibility.
+  // A dead driver must surface as EPIPE from send() (→ orderly shutdown),
+  // not as a SIGPIPE that kills the worker mid-record. The supervisor
+  // resets the disposition to default before exec, so this is the worker's
+  // own responsibility.
   ::signal(SIGPIPE, SIG_IGN);
   LineWriter out(STDOUT_FILENO);
   try {
@@ -254,23 +255,20 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
 
     const auto axis_names = exp::axis_columns(manifest);
     const bool telemetry_on = !options.metrics_path.empty();
-    exp::AggregatorOptions agg_options;
-    agg_options.csv_path = options.out_csv;
-    agg_options.per_run_path = options.per_run_csv;
-    agg_options.metrics_path = options.metrics_path;
-    agg_options.axis_names = axis_names;
-    agg_options.total_points = points.size();
-    agg_options.replications = manifest.replications;
-    agg_options.expected_identity = exp::grid_identity(points);
     // No owned_points: lease membership is decided by the driver at
-    // runtime, so the part file may legitimately hold any subset.
-    exp::Aggregator aggregator(std::move(agg_options));
+    // runtime, so the part may legitimately hold any subset.
+    exp::Aggregator aggregator(exp::campaign_aggregator_options(
+        manifest, points, options.out_csv, options.per_run_csv,
+        options.metrics_path));
     const std::size_t recovered = aggregator.load_existing();
 
+    // Without a pool, one Workspace serves every point, as in
+    // run_campaign's serial path: replications re-seed a kept-warm world.
     std::unique_ptr<runtime::ThreadPool> pool;
     if (options.jobs > 1) {
       pool = std::make_unique<runtime::ThreadPool>(options.jobs);
     }
+    world::Workspace workspace;
 
     const std::size_t crash_after =
         recovered == 0 ? crash_after_points(options.worker_id) : 0;
@@ -295,15 +293,24 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
                                " is outside the grid"));
           return 1;
         }
-        // A point can already be on disk if the driver re-issued work the
-        // prescan had claimed (defensive — it normally never does).
+        // A point can already be in the part store if the driver re-issued
+        // it (defensive — it normally never does).
         if (!aggregator.is_done(p)) {
-          const auto metrics =
-              exp::run_point(points[p], manifest.replications, pool.get());
+          world::ReplicatedMetrics metrics;
+          if (pool) {
+            metrics = world::run_replicated(points[p].config,
+                                            manifest.replications, pool.get());
+          } else {
+            std::vector<metrics::RunMetrics> runs(manifest.replications);
+            for (std::size_t r = 0; r < runs.size(); ++r) {
+              runs[r] = world::run_replication(workspace, points[p].config, r);
+            }
+            metrics = world::reduce_runs(std::move(runs));
+          }
           // record() appends + flushes before point_done is sent: the part
-          // file leads the protocol stream, so a crash after this line
+          // store leads the protocol stream, so a crash after this line
           // loses at most the *message*, never the data — the supervisor
-          // re-reads the file on crash recovery.
+          // absorbs the store when the worker exits, however it exits.
           aggregator.record(
               p, points[p].seed, points[p].values, metrics,
               telemetry_on
@@ -311,24 +318,17 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
                         .dump()
                   : std::string());
         }
-        if (!out.send(format_point_done(p))) {
-          aggregator.compact();  // driver died (EPIPE); exit tidily
-          return 1;
-        }
+        if (!out.send(format_point_done(p))) return 1;  // driver died
         if (crash_after != 0 && ++done_since_start >= crash_after) {
           // Deterministic mid-campaign SIGKILL for the recovery tests.
           ::raise(SIGKILL);
         }
       }
-      if (!out.send(format_lease_done(cmd->lease))) {
-        aggregator.compact();
-        return 1;
-      }
+      if (!out.send(format_lease_done(cmd->lease))) return 1;
     }
-    // `quit` or stdin EOF (driver gone): leave a sorted, torn-row-free
-    // part file behind so it is directly mergeable/resumable.
+    // `quit` or stdin EOF (driver gone): every point is already in the
+    // part store, which the driver absorbs.
     heartbeat.stop();
-    aggregator.compact();
     return 0;
   } catch (const std::exception& e) {
     out.send(format_fail(e.what()));

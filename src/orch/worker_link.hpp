@@ -18,11 +18,12 @@
 // non-numeric ids make a line malformed (std::nullopt), and the supervisor
 // treats a malformed line as a crashed worker rather than guessing.
 //
-// The worker writes results to its own part file through the standard
-// identity-checked exp::Aggregator resume path: every completed point is
-// appended + flushed before `point_done` is sent, so the part file (not
-// the protocol stream) is the ground truth the supervisor re-reads when a
-// worker dies.
+// The worker records results into its own part row store
+// (`<out>.w<k>.pasrows`) through the standard identity-checked
+// exp::Aggregator: every completed point is appended + flushed before
+// `point_done` is sent, so the part store (not the protocol stream) is the
+// ground truth. The worker never exports it; the supervisor absorbs it into
+// its own store when the worker exits — cleanly, crashed or interrupted.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@ struct WorkerMsg {
   enum class Kind { kHello, kHeartbeat, kPointDone, kLeaseDone, kFail };
   Kind kind = Kind::kHeartbeat;
   int worker = -1;            // kHello
-  std::size_t recovered = 0;  // kHello: rows resumed from the part file
+  std::size_t recovered = 0;  // kHello: rows resumed from the part store
   std::size_t point = 0;      // kPointDone
   std::uint64_t lease = 0;    // kLeaseDone
   std::string message;        // kFail
@@ -78,12 +79,11 @@ bool write_line(int fd, const std::string& line);
 // --- Worker main loop -------------------------------------------------------
 
 struct WorkerOptions {
-  /// Part files this worker owns (the driver derives them from --out).
+  /// Part paths (the driver derives them from its own). Only the row store
+  /// `<out_csv>.pasrows` is written; a non-empty per-run or telemetry path
+  /// makes the worker record those rows in it, in each point's batch.
   std::string out_csv;
   std::string per_run_csv;
-  /// Telemetry JSONL part file (empty = no telemetry). Each point's row is
-  /// flushed to the part's row store in the same batch as its CSV row,
-  /// before `point_done`, and the file itself is written at compact.
   std::string metrics_path;
   int worker_id = 0;
   /// Threads for replication-parallel execution inside a point (>=1).
@@ -93,16 +93,16 @@ struct WorkerOptions {
 };
 
 /// Runs the `pas-exp --worker` protocol loop until `quit` or stdin EOF
-/// (driver death): resume the part file, announce `hello`, then execute
+/// (driver death): open the part store, announce `hello`, then execute
 /// leases from stdin, reporting each completed point. Returns the process
 /// exit code (0 on clean shutdown). On an execution error it sends `fail`
-/// and returns 1; completed points stay on disk either way.
+/// and returns 1; completed points stay in the part store either way.
 ///
 /// Test hook: if the environment variable PAS_ORCH_TEST_CRASH is set to
-/// "<worker_id>:<n>", a worker with that id whose part file was empty at
+/// "<worker_id>:<n>", a worker with that id whose part store was empty at
 /// startup raises SIGKILL after its n-th point_done — the deterministic
-/// mid-campaign crash the recovery tests inject. A respawned or resumed
-/// worker recovers rows at startup, so the hook disarms itself.
+/// mid-campaign crash the recovery tests inject. Replacements get fresh
+/// ids, so the hook fires at most once per drive.
 int run_worker(const exp::Manifest& manifest, const WorkerOptions& options);
 
 }  // namespace pas::orch

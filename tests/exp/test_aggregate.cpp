@@ -366,6 +366,62 @@ class StoreAggregateTest : public AggregateTest {
                      .string());
   }
 
+  static std::string telemetry_row(std::size_t point) {
+    return "{\"kind\":\"point\",\"point\":" + std::to_string(point) + "}";
+  }
+
+  /// store_options() plus a --metrics path.
+  AggregatorOptions telemetry_options(const fs::path& sub,
+                                      std::size_t total_points,
+                                      std::size_t reps) {
+    auto options = store_options(sub, total_points, reps, 0);
+    options.metrics_path = (dir_ / sub / "m.jsonl").string();
+    return options;
+  }
+
+  /// Records `points` (with telemetry rows) the way a drive worker does:
+  /// into the store under `sub`, never exported. Returns the store path.
+  std::string record_part(const fs::path& sub, std::size_t total_points,
+                          std::size_t reps,
+                          const std::vector<std::size_t>& points) {
+    const auto options = telemetry_options(sub, total_points, reps);
+    Aggregator part{AggregatorOptions(options)};
+    part.load_existing();
+    for (const auto p : points) {
+      part.record(p, 100 + p, {std::to_string(p)}, synth_metrics(p, reps),
+                  telemetry_row(p));
+    }
+    return options.store_path;
+  }
+
+  /// Records the whole campaign under `sub` and finalizes it: the bytes
+  /// every recovery path must reproduce.
+  void record_clean(const fs::path& sub, std::size_t total_points,
+                    std::size_t reps) {
+    Aggregator clean{telemetry_options(sub, total_points, reps)};
+    clean.load_existing();
+    for (std::size_t p = 0; p < total_points; ++p) {
+      clean.record(p, 100 + p, {std::to_string(p)}, synth_metrics(p, reps),
+                   telemetry_row(p));
+    }
+    clean.finalize({"{\"kind\":\"registry\"}"});
+  }
+
+  void expect_same_artifacts(const fs::path& a, const fs::path& b) {
+    for (const char* name : {"out.csv", "runs.csv", "m.jsonl"}) {
+      EXPECT_EQ(read_lines((dir_ / a / name).string()),
+                read_lines((dir_ / b / name).string()))
+          << name;
+    }
+  }
+
+  static std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }
+
   /// FNV-1a over a file's bytes.
   static std::uint64_t file_digest(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
@@ -459,25 +515,144 @@ TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
   }
 }
 
-TEST_F(StoreAggregateTest, DiscardPointsTombstonesWithoutRewrite) {
-  const auto options = store_options("s", 3, 2, 0);
-  Aggregator agg{AggregatorOptions(options)};
-  agg.load_existing();
-  for (std::size_t p = 0; p < 3; ++p) {
-    agg.record(p, 100 + p, {std::to_string(p)}, synth_metrics(p, 2));
+// --- absorb: a drive worker's part store into the driver's ---------------
+
+TEST_F(StoreAggregateTest, AbsorbCarriesPerRunAndTelemetryRowsWithSummary) {
+  record_clean("clean", 4, 3);
+  const auto part = record_part("w0", 4, 3, {2, 0, 3, 1});
+  Aggregator driver{telemetry_options("driver", 4, 3)};
+  driver.load_existing();
+  EXPECT_EQ(driver.absorb(part), (std::vector<std::size_t>{2, 0, 3, 1}));
+  EXPECT_EQ(driver.done_count(), 4U);
+  driver.finalize({"{\"kind\":\"registry\"}"});
+  expect_same_artifacts("driver", "clean");
+  // absorb reads the part and leaves deleting it to the caller.
+  EXPECT_TRUE(fs::exists(part));
+}
+
+TEST_F(StoreAggregateTest, AbsorbSkipsATornLastBatch) {
+  const auto part = record_part("w0", 3, 2, {0, 1});
+  // Tear into point 1's summary record, the batch's commit mark.
+  fs::resize_file(part, fs::file_size(part) - 3);
+  Aggregator driver{telemetry_options("driver", 3, 2)};
+  driver.load_existing();
+  EXPECT_EQ(driver.absorb(part), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(driver.pending(), (std::vector<std::size_t>{1, 2}));
+}
+
+TEST_F(StoreAggregateTest, AbsorbSkipsPointsTheDriverAlreadyHolds) {
+  record_clean("clean", 3, 2);
+  const auto options = telemetry_options("driver", 3, 2);
+  Aggregator driver{AggregatorOptions(options)};
+  driver.load_existing();
+  driver.record(1, 101, {"1"}, synth_metrics(1, 2), telemetry_row(1));
+  EXPECT_EQ(driver.absorb(record_part("w0", 3, 2, {0})),
+            (std::vector<std::size_t>{0}));
+  // Points 0 and 1 are held already: only point 2's batch is copied.
+  EXPECT_EQ(driver.absorb(record_part("w1", 3, 2, {0, 1, 2})),
+            (std::vector<std::size_t>{2}));
+  std::vector<std::size_t> records_per_point(3, 0);
+  RowStore(options.store_path,
+           RowStore::hash_identity(driver.columns(), 3, 2, {}))
+      .scan([&](const RowStore::Record& r) { ++records_per_point[r.point]; });
+  // Each point once: two per-run rows, its telemetry row, its summary.
+  EXPECT_EQ(records_per_point, (std::vector<std::size_t>{4, 4, 4}));
+  driver.finalize({"{\"kind\":\"registry\"}"});
+  expect_same_artifacts("driver", "clean");
+}
+
+// A kill between the driver's flush and the part's deletion leaves the part
+// behind; the next resume absorbs it again, and that must change nothing.
+TEST_F(StoreAggregateTest, AbsorbingThePartAgainChangesNothing) {
+  const auto part = record_part("w0", 3, 2, {0, 2});
+  const auto options = telemetry_options("driver", 3, 2);
+  {
+    Aggregator driver{AggregatorOptions(options)};
+    driver.load_existing();
+    EXPECT_EQ(driver.absorb(part).size(), 2U);
   }
-  agg.discard_points({1});
-  EXPECT_EQ(agg.done_points(), (std::vector<std::size_t>{0, 2}));
-  agg.compact();
-  const auto lines = read_lines(options.csv_path);
-  ASSERT_EQ(lines.size(), 3U);
-  EXPECT_EQ(lines[1].substr(0, 2), "0,");
-  EXPECT_EQ(lines[2].substr(0, 2), "2,");
-  // The point is recordable again, and finalize completes normally.
-  agg.record(1, 101, {"1"}, synth_metrics(1, 2));
-  agg.finalize();
-  EXPECT_EQ(read_lines(options.csv_path).size(), 4U);
-  EXPECT_FALSE(fs::exists(options.store_path));
+  const std::string store = slurp(options.store_path);
+  Aggregator resumed{AggregatorOptions(options)};
+  EXPECT_EQ(resumed.load_existing(), 2U);
+  EXPECT_EQ(resumed.absorb(part), std::vector<std::size_t>{});
+  EXPECT_EQ(slurp(options.store_path), store);
+  EXPECT_EQ(resumed.pending(), (std::vector<std::size_t>{1}));
+}
+
+TEST_F(StoreAggregateTest, AbsorbRejectsAPartOfAnotherCampaign) {
+  const auto part = record_part("w0", 3, 2, {0});
+  // Same columns, one more grid point: a different identity hash.
+  Aggregator driver{telemetry_options("driver", 4, 2)};
+  driver.load_existing();
+  EXPECT_THROW((void)driver.absorb(part), std::runtime_error);
+  EXPECT_EQ(driver.done_count(), 0U);
+}
+
+TEST_F(StoreAggregateTest, AbsorbRefusesRowsTheDriverWouldDrop) {
+  const auto part = record_part("w0", 2, 2, {0});
+  auto options = store_options("driver", 2, 2, 0);  // no --metrics
+  Aggregator driver{std::move(options)};
+  driver.load_existing();
+  EXPECT_THROW((void)driver.absorb(part), std::runtime_error);
+}
+
+// A resume without the flag that wrote some of the store's rows would
+// finalize without them and delete the store: refused before the store is
+// touched, while the full set of flags resumes as usual.
+TEST_F(StoreAggregateTest, ResumeRefusesToDropPerRunOrTelemetryRows) {
+  const auto options = telemetry_options("s", 2, 2);
+  (void)record_part("s", 2, 2, {0});
+  const std::string store = slurp(options.store_path);
+  auto no_runs = options;
+  no_runs.per_run_path.clear();
+  auto no_metrics = options;
+  no_metrics.metrics_path.clear();
+  for (auto* partial : {&no_runs, &no_metrics}) {
+    Aggregator resumed{AggregatorOptions(*partial)};
+    EXPECT_THROW(resumed.load_existing(), std::runtime_error);
+    EXPECT_EQ(slurp(options.store_path), store);
+  }
+  Aggregator resumed{AggregatorOptions(options)};
+  EXPECT_EQ(resumed.load_existing(), 1U);
+}
+
+// A failed artifact write (ENOSPC: the temp file is a link to /dev/full)
+// replaces no artifact, leaves no temp file or spill run, and keeps the
+// store byte-unchanged; once the disk has room, resume + finalize produce
+// an undisturbed run's bytes.
+TEST_F(StoreAggregateTest, FailedExportWriteKeepsTheStoreAndReplacesNothing) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  record_clean("clean", 5, 2);
+  for (const char* artifact : {"out.csv", "runs.csv", "m.jsonl"}) {
+    SCOPED_TRACE(artifact);
+    const fs::path sub = std::string("full_") + artifact;
+    auto options = telemetry_options(sub, 5, 2);
+    options.spill_budget_bytes = 512;  // spill runs exist mid-export
+    {
+      Aggregator agg{AggregatorOptions(options)};
+      agg.load_existing();
+      for (std::size_t p = 0; p < 5; ++p) {
+        agg.record(p, 100 + p, {std::to_string(p)}, synth_metrics(p, 2),
+                   telemetry_row(p));
+      }
+      const std::string store = slurp(options.store_path);
+      const fs::path link = dir_ / sub / (std::string(artifact) + ".tmp");
+      fs::create_symlink("/dev/full", link);
+      EXPECT_THROW(agg.finalize({"{\"kind\":\"registry\"}"}),
+                   std::runtime_error);
+      EXPECT_EQ(slurp(options.store_path), store);
+      fs::remove(link);
+      std::vector<std::string> left;
+      for (const auto& entry : fs::directory_iterator(dir_ / sub)) {
+        left.push_back(entry.path().filename().string());
+      }
+      EXPECT_EQ(left, std::vector<std::string>{"out.csv.pasrows"});
+    }
+    Aggregator resumed{AggregatorOptions(options)};
+    EXPECT_EQ(resumed.load_existing(), 5U);
+    resumed.finalize({"{\"kind\":\"registry\"}"});
+    expect_same_artifacts(sub, "clean");
+  }
 }
 
 TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {

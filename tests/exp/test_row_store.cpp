@@ -43,7 +43,7 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   store.open_append();
   store.append(RowStore::Kind::kPerRun, 3, 1, {"3", "1", "abc", ""});
   store.append(RowStore::Kind::kSummary, 3, 0, {"3", "0.5"});
-  store.append(RowStore::Kind::kTombstone, 7, 0, {});
+  store.append(RowStore::Kind::kTelemetry, 7, 0, {"{\"kind\":\"point\"}"});
   store.flush();
   store.close();
 
@@ -56,11 +56,38 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   EXPECT_EQ(records[0].cells,
             (std::vector<std::string>{"3", "1", "abc", ""}));
   EXPECT_EQ(records[1].kind, RowStore::Kind::kSummary);
-  EXPECT_EQ(records[2].kind, RowStore::Kind::kTombstone);
+  EXPECT_EQ(records[2].kind, RowStore::Kind::kTelemetry);
   EXPECT_EQ(records[2].point, 7U);
+  EXPECT_EQ(records[2].cells,
+            (std::vector<std::string>{"{\"kind\":\"point\"}"}));
   // seq is the record's byte offset: strictly increasing.
   EXPECT_LT(records[0].seq, records[1].seq);
   EXPECT_LT(records[1].seq, records[2].seq);
+}
+
+// Kind 3 (a tombstone in older builds) is retired: the decoder rejects it
+// like any unknown kind, so it ends the clean prefix and reopening
+// truncates it and everything after it; resume recomputes those points.
+TEST_F(RowStoreTest, RetiredKindEndsTheCleanPrefix) {
+  std::uintmax_t prefix = 0;
+  {
+    RowStore store(path_, 42);
+    store.open_append();
+    store.append(RowStore::Kind::kSummary, 0, 0, {"a"});
+    store.flush();
+    prefix = fs::file_size(path_);
+    store.append(static_cast<RowStore::Kind>(3), 0, 0, {});
+    store.append(RowStore::Kind::kSummary, 1, 0, {"b"});
+    store.flush();
+  }
+  RowStore reader(path_, 42);
+  const auto records = scan_all(reader);
+  ASSERT_EQ(records.size(), 1U);
+  EXPECT_EQ(records[0].cells, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(reader.scan(nullptr), prefix);
+  reader.open_append();
+  reader.close();
+  EXPECT_EQ(fs::file_size(path_), prefix);
 }
 
 TEST_F(RowStoreTest, IdentityHashMismatchThrows) {

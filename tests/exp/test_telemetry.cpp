@@ -243,6 +243,16 @@ TEST_F(TelemetryTest, MergeDeduplicatesFirstInputWins) {
   EXPECT_DOUBLE_EQ(rows[2].at("kernel").at("events_dispatched").as_double(),
                    4.0);
   EXPECT_EQ(rows[3].at("scope").as_string(), "orchestrator");
+
+  // A failed write (ENOSPC: the temp file links to /dev/full) throws and
+  // leaves the earlier merge's output and no temp file behind.
+  if (fs::exists("/dev/full")) {
+    const auto before = lines_of(merged);
+    fs::create_symlink("/dev/full", merged + ".tmp");
+    EXPECT_THROW(merge_telemetry({b, a}, merged), std::runtime_error);
+    EXPECT_FALSE(fs::exists(fs::symlink_status(merged + ".tmp")));
+    EXPECT_EQ(lines_of(merged), before);
+  }
 }
 
 TEST_F(TelemetryTest, MetricsOnAndOffProduceIdenticalCsv) {

@@ -1,7 +1,7 @@
 // Supervised multi-process campaigns, end to end against the real pas-exp
 // binary: byte-identity with a serial run, SIGKILL crash recovery,
-// duplicate-row sanitization on resume, and SIGINT interruption; plus the
-// CLI's --export of a row store.
+// duplicate points across worker parts on resume, and SIGINT interruption;
+// plus the CLI's --export of a row store and its resume refusals.
 //
 // The tests fork/exec the pas-exp executable (the --worker child mode), so
 // they need its path: the PAS_EXP_BIN environment variable if set, else
@@ -22,6 +22,7 @@
 #include <thread>
 
 #include "exp/aggregate.hpp"
+#include "exp/row_store.hpp"
 #include "exp/runner.hpp"
 #include "io/json.hpp"
 #include "world/paper_setup.hpp"
@@ -117,7 +118,61 @@ class SupervisorTest : public ::testing::Test {
         ++parts;
       }
     }
-    EXPECT_EQ(parts, 0U) << "part files should be deleted after the merge";
+    EXPECT_EQ(parts, 0U) << "part stores should be deleted once absorbed";
+  }
+
+  /// Leaves `points` in an unexported row store `<out>.pasrows`, as an
+  /// interrupted serial run, or a drive worker killed with its driver,
+  /// leaves them.
+  void record_interrupted(const std::string& out,
+                          std::vector<std::size_t> points,
+                          const std::string& per_run = {},
+                          const std::string& metrics = {}) {
+    exp::CampaignOptions o;
+    o.jobs = 1;
+    o.out_csv = out;
+    o.per_run_csv = per_run;
+    o.metrics_path = metrics;
+    const std::size_t n = points.size();
+    o.owned_points = std::move(points);
+    std::size_t done = 0;
+    o.progress = [&done](const exp::PointSummary&, std::size_t d,
+                         std::size_t) { done = d; };
+    o.should_stop = [&done, n] { return done >= n; };
+    ASSERT_TRUE(exp::run_campaign(manifest_, o).interrupted);
+    ASSERT_TRUE(fs::exists(exp::RowStore::path_for(out)));
+  }
+
+  /// Drives `o` and sends this process SIGINT once worker 0 has stored its
+  /// first point (its part store outgrows the 16-byte header), so the drive
+  /// is interrupted mid-campaign unless its workers finish every point
+  /// first. Outside drive()'s handler window SIGINT is ignored, so a
+  /// late-landing signal cannot kill the test binary.
+  DriveReport drive_interrupted(const DriveOptions& o) {
+    struct IgnoreSigint {
+      struct sigaction old {};
+      IgnoreSigint() {
+        struct sigaction ign {};
+        ign.sa_handler = SIG_IGN;
+        sigemptyset(&ign.sa_mask);
+        ::sigaction(SIGINT, &ign, &old);
+      }
+      ~IgnoreSigint() { ::sigaction(SIGINT, &old, nullptr); }
+    } guard;
+    const std::string part = exp::RowStore::path_for(part_path(o.out_csv, 0));
+    // A jthread asks the poll to stop and joins on every exit path, before
+    // the guard is restored.
+    const std::jthread interrupter([&part](const std::stop_token& stop) {
+      std::error_code ec;
+      while (!stop.stop_requested()) {
+        if (fs::file_size(part, ec) > 16 && !ec) {
+          ::kill(::getpid(), SIGINT);
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    return drive(manifest_, o);
   }
 
   /// The "point" rows of a telemetry JSONL file (trailers are wall-clock
@@ -196,21 +251,14 @@ TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
   expect_merged_identical("out.csv", "runs.csv");
 }
 
-// Crash-race aftermath: two part files both carry a row for the same point
-// (a worker wrote its row, died unreported, and the point was reassigned).
-// Resume must claim one copy, physically drop the other, and still merge
-// to the exact serial bytes.
+// Crash-race aftermath: two worker part stores left by a killed drive both
+// hold the same point (a worker wrote it, died unreported, and the point
+// was reassigned). Resume absorbs the first copy, skips the second, and
+// still finalizes to the exact serial bytes.
 TEST_F(SupervisorTest, ResumeDropsDuplicateRowsAcrossParts) {
-  const std::string w0 = part_path(path("out.csv"), 0);
-  const std::string w1 = part_path(path("out.csv"), 1);
-  exp::CampaignOptions fabricate;
-  fabricate.jobs = 1;
-  fabricate.owned_points = {0, 1, 2};
-  fabricate.out_csv = w0;
-  exp::run_campaign(manifest_, fabricate);
-  fabricate.owned_points = {2, 4};  // point 2 duplicated across parts
-  fabricate.out_csv = w1;
-  exp::run_campaign(manifest_, fabricate);
+  record_interrupted(part_path(path("out.csv"), 0), {0, 1, 2});
+  // Point 2 duplicated across parts.
+  record_interrupted(part_path(path("out.csv"), 1), {2, 4});
 
   auto o = options(2, "out.csv");
   o.resume = true;
@@ -237,47 +285,72 @@ TEST_F(SupervisorTest, ResumeClaimsRowsFromSingleProcessOut) {
   expect_merged_identical("out.csv");
 }
 
+// Without --resume a drive replaces no earlier campaign file, exactly like
+// a serial run: each one alone is refused and left byte-unchanged.
 TEST_F(SupervisorTest, RefusesExistingOutputWithoutResume) {
-  std::ofstream(path("out.csv")) << "stale\n";
-  EXPECT_THROW((void)drive(manifest_, options(2, "out.csv")),
-               std::runtime_error);
+  for (const char* name : {"out.csv", "out.csv.pasrows", "runs.csv",
+                           "metrics.jsonl", "out.csv.w0.pasrows"}) {
+    SCOPED_TRACE(name);
+    std::ofstream(path(name)) << "stale\n";
+    auto o = options(2, "out.csv", "runs.csv");
+    o.metrics_path = path("metrics.jsonl");
+    EXPECT_THROW((void)drive(manifest_, o), std::runtime_error);
+    EXPECT_EQ(slurp(path(name)), "stale\n");
+    fs::remove(path(name));
+  }
 }
 
 TEST_F(SupervisorTest, SigintLeavesResumableStateAndResumeCompletes) {
-  // Fire SIGINT shortly after the drive starts; whether it lands before or
-  // after completion, the follow-up resume must converge on the exact
-  // serial bytes (the deterministic end state this test pins down).
-  // Outside drive()'s handler window SIGINT must be ignored, or a
-  // late-landing signal would kill the test binary instead.
-  struct IgnoreSigint {
-    struct sigaction old {};
-    IgnoreSigint() {
-      struct sigaction ign {};
-      ign.sa_handler = SIG_IGN;
-      sigemptyset(&ign.sa_mask);
-      ::sigaction(SIGINT, &ign, &old);
-    }
-    ~IgnoreSigint() { ::sigaction(SIGINT, &old, nullptr); }
-  } guard;
-  std::thread interrupter([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    ::kill(::getpid(), SIGINT);
-  });
-  const auto first = drive(manifest_, options(2, "out.csv", "runs.csv"));
-  interrupter.join();
+  // Whether SIGINT lands before or after completion, the follow-up resume
+  // must converge on the exact serial bytes (the deterministic end state
+  // this test pins down).
+  const auto first = drive_interrupted(options(2, "out.csv", "runs.csv"));
   if (first.interrupted) {
     auto o = options(3, "out.csv", "runs.csv");  // resume with different W
     o.resume = true;
     const auto second = drive(manifest_, o);
     EXPECT_FALSE(second.interrupted);
+    // Every point the interrupted drive finished is resumed, not redone.
+    EXPECT_EQ(second.resumed, first.computed + first.resumed);
     EXPECT_EQ(second.resumed + second.computed, 6U);
   }
   expect_merged_identical("out.csv", "runs.csv");
 }
 
-// Drive-mode telemetry: workers write metrics part files, the driver merges
-// them, and the merged point rows are byte-identical to a serial campaign's
-// (only the trailer — wall-clock orchestrator instruments — may differ).
+// An interrupted drive absorbs its workers' parts: it leaves the single
+// `<out>.pasrows` an interrupted serial run leaves, so a serial --resume
+// computes only the missing points and ends at the serial bytes.
+TEST_F(SupervisorTest, SigintLeavesOneStoreThatASerialResumeFinishes) {
+  auto o = options(1, "out.csv", "runs.csv");
+  o.max_lease = 1;
+  const auto first = drive_interrupted(o);
+  if (first.interrupted) {
+    // No CSVs and no worker parts: the store (plus the flight recorder's
+    // note of the interrupt) is all the drive left.
+    const auto files = listing();
+    EXPECT_TRUE(files.contains("out.csv.pasrows"));
+    for (const auto& [name, bytes] : files) {
+      if (name.starts_with("out.csv") || name.starts_with("runs.csv")) {
+        EXPECT_TRUE(name == "out.csv.pasrows" || name == "out.csv.flightrec")
+            << name;
+      }
+    }
+    exp::CampaignOptions serial;
+    serial.jobs = 1;
+    serial.resume = true;
+    serial.out_csv = path("out.csv");
+    serial.per_run_csv = path("runs.csv");
+    const auto second = exp::run_campaign(manifest_, serial);
+    EXPECT_EQ(second.skipped, first.computed + first.resumed);
+    EXPECT_EQ(second.skipped + second.computed, 6U);
+  }
+  expect_merged_identical("out.csv", "runs.csv");
+}
+
+// Drive-mode telemetry: workers record it in their part stores, the driver
+// absorbs and exports it, and the point rows are byte-identical to a serial
+// campaign's (only the trailer — wall-clock orchestrator instruments — may
+// differ).
 TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
   exp::CampaignOptions serial;
   serial.jobs = 1;
@@ -310,9 +383,9 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
   EXPECT_EQ(trailer.string_or("scope", ""), "orchestrator");
 }
 
-// A crashed worker's telemetry part survives (rows are flushed before
-// point_done, like the CSV), the reassigned points fill the gaps, and the
-// crash dumps the protocol flight recorder next to the output.
+// A crashed worker's telemetry rows survive in its part store (flushed
+// before point_done, like the CSV), the reassigned points fill the gaps,
+// and the crash dumps the protocol flight recorder next to the output.
 TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {
   ::setenv("PAS_ORCH_TEST_CRASH", "0:1", 1);
   auto o = options(1, "out.csv");
@@ -366,6 +439,39 @@ TEST_F(SupervisorTest, ExportRendersAnInterruptedStoreAndKeepsIt) {
   // Telemetry point rows only: the trailer is written at finalize.
   EXPECT_EQ(lines_of(path("int.metrics.jsonl")),
             lines_of(path("ref.metrics.jsonl"), 3));
+}
+
+// A resume that omits --per-run or --metrics while the store holds such
+// rows would finalize without them and delete the store: pas-exp refuses it
+// (serially and with --drive) before computing anything, the store stays
+// byte-unchanged, and resuming with both flags reaches the serial bytes.
+TEST_F(SupervisorTest, ResumeWithoutAStoredRowKindsFlagIsRefused) {
+  exp::CampaignOptions serial;
+  serial.jobs = 1;
+  serial.out_csv = path("ref_m.csv");
+  serial.metrics_path = path("ref.metrics.jsonl");
+  exp::run_campaign(manifest_, serial);
+  record_interrupted(path("int.csv"), {0, 1, 2}, path("int_runs.csv"),
+                     path("int.metrics.jsonl"));
+  const auto before = listing();
+  for (const char* args :
+       {"--manifest manifest.json --out int.csv --resume",
+        "--manifest manifest.json --out int.csv --resume --per-run "
+        "int_runs.csv",
+        "--manifest manifest.json --out int.csv --resume --metrics "
+        "int.metrics.jsonl",
+        "--drive 2 --manifest manifest.json --out int.csv --resume "
+        "--metrics int.metrics.jsonl"}) {
+    EXPECT_EQ(run_cli(args), 1) << args;
+    EXPECT_EQ(listing(), before) << args;
+  }
+  ASSERT_EQ(run_cli("--manifest manifest.json --out int.csv --resume "
+                    "--per-run int_runs.csv --metrics int.metrics.jsonl"),
+            0);
+  EXPECT_EQ(slurp(path("int.csv")), slurp(path("ref.csv")));
+  EXPECT_EQ(slurp(path("int_runs.csv")), slurp(path("ref_runs.csv")));
+  EXPECT_EQ(point_rows(path("int.metrics.jsonl")),
+            point_rows(path("ref.metrics.jsonl")));
 }
 
 // A finalized campaign has no row store: --export refuses it and leaves the

@@ -4,7 +4,8 @@
 //   pas-exp --manifest examples/campaign.json --jobs 8 --out out.csv --resume
 //
 //   # one command instead of N terminals: a supervised multi-process
-//   # campaign with work-stealing leases, crash recovery, and auto-merge
+//   # campaign with work-stealing leases and crash recovery, finalized
+//   # into one --out exactly like a serial run
 //   pas-exp --drive 4 --manifest examples/campaign.json --out out.csv
 //
 //   # split one manifest across machines by hand, then recombine:
@@ -21,8 +22,8 @@
 // --per-run, and a JSON-lines rendering of the finished point CSV via
 // --json); --resume reloads an interrupted campaign's file and computes
 // only the missing points. Results are independent of --jobs, --shard,
-// --rep-chunk, and --drive: the completed (merged) file is byte-identical
-// for any parallel schedule, single- or multi-process.
+// --rep-chunk, and --drive: the completed file is byte-identical for any
+// parallel schedule, single- or multi-process.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -138,11 +139,12 @@ int main(int argc, char** argv) {
   cli.add_uint("rep-chunk", &rep_chunk,
                "Replications per sub-job within a point (0 = automatic)");
   cli.add_uint("drive", &drive_workers,
-               "Supervise N worker processes with work-stealing leases, "
-               "crash recovery, and automatic merge into --out");
+               "Supervise N worker processes (work-stealing leases, crash "
+               "recovery); --out is finalized exactly like a serial run's");
   cli.add_flag("resume", &resume,
-               "Reload --out (and, with --drive, any .w* part files) and "
-               "compute only the missing points");
+               "Reload --out's row store (or its finalized CSVs, and with "
+               "--drive any .w*.pasrows worker parts) and compute only the "
+               "missing points");
   cli.add_flag("merge", &merge,
                "Merge finalized shard CSVs (positional args) into --out");
   cli.add_flag("progress", &progress,
@@ -387,15 +389,8 @@ int main(int argc, char** argv) {
                      store.c_str());
         return 1;
       }
-      pas::exp::AggregatorOptions agg_options;
-      agg_options.csv_path = out_csv;
-      agg_options.per_run_path = per_run_csv;
-      agg_options.metrics_path = metrics_path;
-      agg_options.axis_names = pas::exp::axis_columns(manifest);
-      agg_options.total_points = points.size();
-      agg_options.replications = manifest.replications;
-      agg_options.expected_identity = pas::exp::grid_identity(points);
-      pas::exp::Aggregator aggregator(std::move(agg_options));
+      pas::exp::Aggregator aggregator(pas::exp::campaign_aggregator_options(
+          manifest, points, out_csv, per_run_csv, metrics_path));
       aggregator.load_existing();
       aggregator.compact();
       write_jsonl(out_csv, jsonl_out);
@@ -582,10 +577,10 @@ int main(int argc, char** argv) {
         if (quiet) resume_cmd += " --quiet";
         if (progress) resume_cmd += " --progress";
         std::printf(
-            "interrupted: %zu of %zu points on disk; every part file is "
-            "resumable\nresume with: %s --resume\n",
+            "interrupted: %zu of %zu points on disk in %s.pasrows; the "
+            "output is resumable\nresume with: %s --resume\n",
             report.computed + report.resumed, report.total_points,
-            resume_cmd.c_str());
+            out_csv.c_str(), resume_cmd.c_str());
         return 130;
       }
       write_jsonl(out_csv, jsonl_out);
