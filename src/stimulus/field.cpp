@@ -44,24 +44,27 @@ void StimulusModel::arrival_many(std::span<const geom::Vec2> ps,
 
 sim::Time StimulusModel::first_crossing(geom::Vec2 p, sim::Time horizon,
                                         sim::Duration coarse_step,
-                                        sim::Duration tol) const {
+                                        sim::Duration tol,
+                                        sim::Time never_after) const {
   if (horizon <= 0.0) return sim::kNever;
   if (coarse_step <= 0.0) coarse_step = horizon / 512.0;
 
   if (covered(p, 0.0)) return 0.0;
   sim::Time lo = 0.0;
-  sim::Time hi = sim::kNever;
   for (sim::Time t = coarse_step; t <= horizon + 0.5 * coarse_step;
        t += coarse_step) {
     const sim::Time probe = std::min(t, horizon);
-    if (covered(p, probe)) {
-      hi = probe;
-      break;
-    }
+    // Probes only grow, so every later one is past never_after too.
+    if (probe > never_after) break;
+    if (covered(p, probe)) return bisect_crossing(p, lo, probe, tol);
     lo = probe;
   }
-  if (hi == sim::kNever) return sim::kNever;
+  return sim::kNever;
+}
 
+sim::Time StimulusModel::bisect_crossing(geom::Vec2 p, sim::Time lo,
+                                         sim::Time hi,
+                                         sim::Duration tol) const {
   while (hi - lo > tol) {
     const sim::Time mid = 0.5 * (lo + hi);
     if (covered(p, mid)) {

@@ -65,13 +65,28 @@ class StimulusModel {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
  protected:
-  /// Generic earliest-crossing search: scans [0, horizon] in `coarse_step`
-  /// increments for the first covered sample, then bisects the bracketing
-  /// interval down to `tol`. Exact only for coverage that, once gained, is
-  /// not lost within a coarse step — true for all models in this library.
-  [[nodiscard]] sim::Time first_crossing(geom::Vec2 p, sim::Time horizon,
-                                         sim::Duration coarse_step,
-                                         sim::Duration tol = 1e-4) const;
+  /// Generic earliest-crossing search, the contract every numeric
+  /// arrival_time() reproduces:
+  ///  1. horizon <= 0 gives kNever; covered(p, 0) gives 0.
+  ///  2. Probes t_k = t_{k-1} + coarse_step (accumulated, t_1 = coarse_step)
+  ///     while t_k <= horizon + coarse_step / 2, each at min(t_k, horizon);
+  ///     none covered gives kNever.
+  ///  3. The first covered probe `hi` and the probe before it `lo` (0 for
+  ///     k = 1) go to bisect_crossing(), whose result is returned.
+  /// Exact only for coverage that, once gained, is not lost within a coarse
+  /// step — true for all models in this library. `never_after` is the
+  /// caller's guarantee that `p` is uncovered at every t > never_after: the
+  /// scan stops at the first probe past it, which changes no result and
+  /// bounds the work of an unreachable point under a huge horizon.
+  [[nodiscard]] sim::Time first_crossing(
+      geom::Vec2 p, sim::Time horizon, sim::Duration coarse_step,
+      sim::Duration tol = 1e-4, sim::Time never_after = sim::kNever) const;
+
+  /// Step 3 of first_crossing(): halves [lo, hi] (covered at hi, not at lo)
+  /// at midpoints while hi - lo > tol and returns the final hi.
+  [[nodiscard]] sim::Time bisect_crossing(geom::Vec2 p, sim::Time lo,
+                                          sim::Time hi,
+                                          sim::Duration tol = 1e-4) const;
 };
 
 }  // namespace pas::stimulus

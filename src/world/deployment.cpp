@@ -1,16 +1,16 @@
 #include "world/deployment.hpp"
 
 #include <cmath>
-#include <queue>
 #include <stdexcept>
-
-#include "geom/grid_index.hpp"
 
 namespace pas::world {
 
-std::vector<geom::Vec2> grid_deployment(std::size_t count, geom::Aabb region,
-                                        double jitter, sim::Pcg32& rng) {
-  if (count == 0) return {};
+namespace {
+
+void fill_grid(std::size_t count, geom::Aabb region, double jitter,
+               sim::Pcg32& rng, std::vector<geom::Vec2>& out) {
+  out.clear();
+  if (count == 0) return;
   if (jitter < 0.0 || jitter > 0.5) {
     throw std::invalid_argument("grid_deployment: jitter must be in [0, 0.5]");
   }
@@ -21,7 +21,6 @@ std::vector<geom::Vec2> grid_deployment(std::size_t count, geom::Aabb region,
   const double dx = region.width() / static_cast<double>(cols);
   const double dy = region.height() / static_cast<double>(rows);
 
-  std::vector<geom::Vec2> out;
   out.reserve(count);
   for (std::size_t r = 0; r < rows && out.size() < count; ++r) {
     for (std::size_t c = 0; c < cols && out.size() < count; ++c) {
@@ -32,29 +31,26 @@ std::vector<geom::Vec2> grid_deployment(std::size_t count, geom::Aabb region,
       out.push_back(region.clamp({cx + jx, cy + jy}));
     }
   }
-  return out;
 }
 
-std::vector<geom::Vec2> uniform_deployment(std::size_t count, geom::Aabb region,
-                                           sim::Pcg32& rng) {
-  std::vector<geom::Vec2> out;
+void fill_uniform(std::size_t count, geom::Aabb region, sim::Pcg32& rng,
+                  std::vector<geom::Vec2>& out) {
+  out.clear();
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back({rng.uniform(region.lo.x, region.hi.x),
                    rng.uniform(region.lo.y, region.hi.y)});
   }
-  return out;
 }
 
-std::vector<geom::Vec2> poisson_disk_deployment(std::size_t count,
-                                                geom::Aabb region,
-                                                double min_separation,
-                                                sim::Pcg32& rng) {
+void fill_poisson_disk(std::size_t count, geom::Aabb region,
+                       double min_separation, sim::Pcg32& rng,
+                       std::vector<geom::Vec2>& out) {
   if (min_separation <= 0.0) {
     throw std::invalid_argument(
         "poisson_disk_deployment: min_separation must be > 0");
   }
-  std::vector<geom::Vec2> out;
+  out.clear();
   out.reserve(count);
   const double sep2 = min_separation * min_separation;
   const std::size_t max_attempts = count * 2000 + 1000;
@@ -76,25 +72,64 @@ std::vector<geom::Vec2> poisson_disk_deployment(std::size_t count,
     }
     if (ok) out.push_back(candidate);
   }
+}
+
+}  // namespace
+
+std::vector<geom::Vec2> grid_deployment(std::size_t count, geom::Aabb region,
+                                        double jitter, sim::Pcg32& rng) {
+  std::vector<geom::Vec2> out;
+  fill_grid(count, region, jitter, rng, out);
   return out;
 }
 
-std::vector<geom::Vec2> generate_deployment(const DeploymentConfig& config,
-                                            sim::Pcg32& rng) {
+std::vector<geom::Vec2> uniform_deployment(std::size_t count, geom::Aabb region,
+                                           sim::Pcg32& rng) {
+  std::vector<geom::Vec2> out;
+  fill_uniform(count, region, rng, out);
+  return out;
+}
+
+std::vector<geom::Vec2> poisson_disk_deployment(std::size_t count,
+                                                geom::Aabb region,
+                                                double min_separation,
+                                                sim::Pcg32& rng) {
+  std::vector<geom::Vec2> out;
+  fill_poisson_disk(count, region, min_separation, rng, out);
+  return out;
+}
+
+void generate_deployment(const DeploymentConfig& config, sim::Pcg32& rng,
+                         std::vector<geom::Vec2>& out) {
   switch (config.kind) {
     case DeploymentKind::kGrid:
-      return grid_deployment(config.count, config.region, config.grid_jitter,
-                             rng);
+      fill_grid(config.count, config.region, config.grid_jitter, rng, out);
+      return;
     case DeploymentKind::kUniform:
-      return uniform_deployment(config.count, config.region, rng);
+      fill_uniform(config.count, config.region, rng, out);
+      return;
     case DeploymentKind::kPoissonDisk:
-      return poisson_disk_deployment(config.count, config.region,
-                                     config.min_separation, rng);
+      fill_poisson_disk(config.count, config.region, config.min_separation,
+                        rng, out);
+      return;
   }
   throw std::logic_error("generate_deployment: unknown kind");
 }
 
+std::vector<geom::Vec2> generate_deployment(const DeploymentConfig& config,
+                                            sim::Pcg32& rng) {
+  std::vector<geom::Vec2> out;
+  generate_deployment(config, rng, out);
+  return out;
+}
+
 bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
+  ConnectivityScratch scratch;
+  return is_connected(positions, range, scratch);
+}
+
+bool is_connected(const std::vector<geom::Vec2>& positions, double range,
+                  ConnectivityScratch& scratch) {
   if (positions.empty()) return true;
   geom::Aabb bounds{positions.front(), positions.front()};
   for (const auto& p : positions) {
@@ -103,24 +138,25 @@ bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
     bounds.hi.x = std::max(bounds.hi.x, p.x);
     bounds.hi.y = std::max(bounds.hi.y, p.y);
   }
-  const geom::GridIndex index(positions, bounds.inflated(1.0), range);
-  std::vector<char> seen(positions.size(), 0);
-  std::queue<std::uint32_t> frontier;
-  frontier.push(0);
+  scratch.index.assign(positions, bounds.inflated(1.0), range);
+  // Breadth-first from node 0; `frontier` is the queue, consumed from
+  // `head`.
+  auto& seen = scratch.seen;
+  auto& frontier = scratch.frontier;
+  seen.assign(positions.size(), 0);
+  frontier.clear();
+  frontier.push_back(0);
   seen[0] = 1;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.front();
-    frontier.pop();
-    index.for_each_in_radius(positions[cur], range, [&](std::uint32_t next) {
-      if (seen[next] == 0) {
-        seen[next] = 1;
-        ++visited;
-        frontier.push(next);
-      }
-    });
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    scratch.index.for_each_in_radius(
+        positions[frontier[head]], range, [&](std::uint32_t next) {
+          if (seen[next] == 0) {
+            seen[next] = 1;
+            frontier.push_back(next);
+          }
+        });
   }
-  return visited == positions.size();
+  return frontier.size() == positions.size();
 }
 
 }  // namespace pas::world

@@ -4,12 +4,18 @@
 // (aerial scattering — the paper's implied setup), and Poisson-disk (random
 // but with a minimum spacing). Deployments are drawn from the dedicated
 // deployment RNG stream so the same seed yields the same field.
+//
+// A run redraws its deployment until the disk graph is connected (the
+// paper grid takes ~4 attempts), so the hot path fills a caller-owned
+// vector and checks connectivity with caller-owned scratch; the returning
+// overloads are thin wrappers with the same draws.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "geom/aabb.hpp"
+#include "geom/grid_index.hpp"
 #include "geom/vec2.hpp"
 #include "sim/rng.hpp"
 
@@ -46,6 +52,11 @@ struct DeploymentConfig {
 [[nodiscard]] std::vector<geom::Vec2> generate_deployment(
     const DeploymentConfig& config, sim::Pcg32& rng);
 
+/// generate_deployment() into `out`, reusing its capacity: the same draws
+/// in the same order, so the same positions.
+void generate_deployment(const DeploymentConfig& config, sim::Pcg32& rng,
+                         std::vector<geom::Vec2>& out);
+
 /// Individual generators (also used directly by tests).
 [[nodiscard]] std::vector<geom::Vec2> grid_deployment(std::size_t count,
                                                       geom::Aabb region,
@@ -61,5 +72,17 @@ struct DeploymentConfig {
 /// True if the disk graph over `positions` with radius `range` is connected.
 [[nodiscard]] bool is_connected(const std::vector<geom::Vec2>& positions,
                                 double range);
+
+/// The buffers of a connectivity check, kept between checks so a warm one
+/// allocates nothing.
+struct ConnectivityScratch {
+  geom::GridIndex index;
+  std::vector<char> seen;
+  std::vector<std::uint32_t> frontier;
+};
+
+/// is_connected() using `scratch`'s buffers.
+[[nodiscard]] bool is_connected(const std::vector<geom::Vec2>& positions,
+                                double range, ConnectivityScratch& scratch);
 
 }  // namespace pas::world

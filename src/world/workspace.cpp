@@ -67,8 +67,8 @@ void Workspace::execute(const ScenarioConfig& config,
   for (std::size_t attempt = 0; attempt < config.max_deployment_attempts;
        ++attempt) {
     sim::Pcg32 rng = seeds.stream(sim::SeedSequence::kDeployment, attempt);
-    positions_ = generate_deployment(config.deployment, rng);
-    if (is_connected(positions_, config.radio.range_m)) {
+    generate_deployment(config.deployment, rng, positions_);
+    if (is_connected(positions_, config.radio.range_m, connectivity_)) {
       deployment_attempts_ = attempt + 1;
       connected = true;
       break;

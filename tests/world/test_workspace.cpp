@@ -142,5 +142,50 @@ TEST(Workspace, ReplicationHelpersAgree) {
   }
 }
 
+// The warm workspace's in-place deployment draws against the returning
+// free functions, attempt by attempt: the same positions and attempt
+// counts for every seed, kind and (changing) node count and region.
+TEST(Workspace, DeploymentMatchesTheFreeFunctionLoop) {
+  Workspace ws;
+  std::size_t runs = 0;
+  std::size_t attempts = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    for (const DeploymentKind kind :
+         {DeploymentKind::kUniform, DeploymentKind::kGrid,
+          DeploymentKind::kPoissonDisk}) {
+      auto cfg = small_config(core::Policy::kNeverSleep, StimulusKind::kRadial,
+                              seed);
+      cfg.duration_s = 1.0;
+      cfg.deployment.kind = kind;
+      cfg.deployment.count = seed % 2 == 0 ? 30 : 27;
+      cfg.deployment.region = geom::Aabb::square(38.0 + 2.0 * (seed % 3));
+
+      const sim::SeedSequence seeds(cfg.seed);
+      std::vector<geom::Vec2> want;
+      std::size_t want_attempts = 0;
+      for (std::size_t a = 0; a < cfg.max_deployment_attempts; ++a) {
+        sim::Pcg32 rng = seeds.stream(sim::SeedSequence::kDeployment, a);
+        want = generate_deployment(cfg.deployment, rng);
+        if (is_connected(want, cfg.radio.range_m)) {
+          want_attempts = a + 1;
+          break;
+        }
+      }
+      if (want_attempts == 0) {
+        EXPECT_THROW((void)ws.run(cfg), std::runtime_error) << "seed " << seed;
+        continue;
+      }
+      const auto got = ws.run(cfg);
+      ASSERT_EQ(got.positions, want) << "seed " << seed << " " << to_string(kind);
+      ASSERT_EQ(got.deployment_attempts, want_attempts)
+          << "seed " << seed << " " << to_string(kind);
+      ++runs;
+      attempts += want_attempts;
+    }
+  }
+  // Retries happen, so later attempts reuse the buffers of earlier ones.
+  EXPECT_GT(attempts, runs + runs / 2);
+}
+
 }  // namespace
 }  // namespace pas::world
