@@ -8,6 +8,7 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "exp/grid.hpp"
@@ -388,7 +389,7 @@ std::size_t Aggregator::load_store() {
         }
         break;
     }
-  });
+  }, /*with_cells=*/false);
   store_->open_append();
 
   for (std::size_t p = 0; p < total_points_; ++p) {
@@ -503,13 +504,22 @@ std::vector<std::size_t> Aggregator::absorb(
   ensure_store();
   const bool per_run = !per_run_path_.empty();
   std::vector<std::size_t> absorbed;
+  // The open batch: its records' keys, and their frames verbatim. A frame
+  // scan() verified under this campaign's identity is exactly what
+  // RowStore::append() would write for its record, so it is copied as is.
   std::vector<RowStore::Record> batch;
+  std::string frames;
   part.scan([&](const RowStore::Record& r) {
     refuse_unexported(r.kind, part_store_path);
     // Records that cannot continue the open batch start a new one: the
     // open batch never reached its summary, so it is torn.
-    if (!batch.empty() && !continues_batch(batch.back(), r)) batch.clear();
-    batch.push_back(r);
+    if (!batch.empty() && !continues_batch(batch.back(), r)) {
+      batch.clear();
+      frames.clear();
+    }
+    batch.push_back(r);  // keys only: the scan leaves cells empty
+    batch.back().frame = {};
+    frames += r.frame;
     if (r.kind != RowStore::Kind::kSummary) return;
     std::size_t runs = 0;
     for (const auto& b : batch) {
@@ -520,15 +530,14 @@ std::vector<std::size_t> Aggregator::absorb(
     if (owns(r.point) && done_[r.point] == 0 &&
         (!per_run ||
          (runs == replications_ && batch[runs - 1].rep < replications_))) {
-      for (const auto& b : batch) {
-        store_->append(b.kind, b.point, b.rep, b.cells);
-      }
+      store_->append_frames(frames);
       done_[r.point] = 1;
       ++done_count_;
       absorbed.push_back(r.point);
     }
     batch.clear();
-  });
+    frames.clear();
+  }, /*with_cells=*/false);
   store_->flush();
   return absorbed;
 }
@@ -607,7 +616,8 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
                       .point = r.point,
                       .rep = r.rep,
                       .seq = r.seq,
-                      .cells = {std::move(line)}});
+                      .cells = {std::move(line)},
+                      .frame = {}});
     buffered += record_bytes(buffer.back());
     if (buffered >= budget) spill();
   });
@@ -891,6 +901,54 @@ void refuse_existing_outputs(const std::string& csv_path,
                                "campaign or remove it to start over");
     }
   }
+}
+
+std::string part_path(const std::string& base, int worker) {
+  return base + ".w" + std::to_string(worker);
+}
+
+std::vector<std::string> discover_part_stores(const std::string& csv_path) {
+  namespace fs = std::filesystem;
+  const fs::path out(csv_path);
+  fs::path dir = out.parent_path();
+  if (dir.empty()) dir = ".";
+  const std::string prefix = out.filename().string() + ".w";
+  constexpr std::string_view kStoreExt = ".pasrows";
+  std::vector<std::string> paths;
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec)) return paths;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= prefix.size() + kStoreExt.size() ||
+        name.compare(0, prefix.size(), prefix) != 0 ||
+        !name.ends_with(kStoreExt)) {
+      continue;
+    }
+    const std::string tail = name.substr(
+        prefix.size(), name.size() - prefix.size() - kStoreExt.size());
+    int id = 0;
+    const auto [ptr, err] =
+        std::from_chars(tail.data(), tail.data() + tail.size(), id);
+    // Canonical ".w<k>" names only: reject trailing junk (".w0.tmp"),
+    // overflow-wide suffixes, and leading zeros (".w0009").
+    if (err != std::errc{} || ptr != tail.data() + tail.size() || id < 0 ||
+        std::to_string(id) != tail) {
+      continue;
+    }
+    paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+std::size_t absorb_part_stores(Aggregator& aggregator,
+                               const std::string& csv_path) {
+  std::size_t absorbed = 0;
+  for (const auto& part : discover_part_stores(csv_path)) {
+    absorbed += aggregator.absorb(part).size();
+    std::filesystem::remove(part);
+  }
+  return absorbed;
 }
 
 // --- Shard merging ----------------------------------------------------------

@@ -262,6 +262,24 @@ void refuse_existing_outputs(const std::string& csv_path,
                              const std::string& metrics_path,
                              const std::vector<std::string>& more = {});
 
+/// The ".w<k>" part path of worker `k` for campaign output `base`; an
+/// orchestrator worker records into RowStore::path_for(part_path(out, k)).
+[[nodiscard]] std::string part_path(const std::string& base, int worker);
+
+/// The worker part stores `<csv_path>.w<k>.pasrows` on disk, sorted. Only
+/// a drive killed before it could absorb them leaves them behind.
+[[nodiscard]] std::vector<std::string> discover_part_stores(
+    const std::string& csv_path);
+
+/// Absorbs every part store discover_part_stores(csv_path) finds into
+/// `aggregator` (call after load_existing()) and deletes each one after
+/// absorb()'s flush; a kill in between leaves the part for the next
+/// resume, whose absorb finds its points held already. Returns the number
+/// of points absorbed. Every resume of a full-grid campaign runs this, so
+/// a killed drive finishes under any topology.
+std::size_t absorb_part_stores(Aggregator& aggregator,
+                               const std::string& csv_path);
+
 /// Recombines finalized shard outputs into `out_path`, byte-identical to
 /// the file an unsharded run would have produced. All inputs must carry an
 /// identical header and list their rows in ascending (point, rep) order, as

@@ -88,9 +88,10 @@ std::string encode_payload(RowStore::Kind kind, std::size_t point,
 }
 
 /// Parses a record payload; returns false on any malformed field (the
-/// caller treats that as a torn record).
+/// caller treats that as a torn record). Without `with_cells` the cells are
+/// checked just as strictly but not copied out.
 bool decode_payload(const char* data, std::size_t size, bool with_seq,
-                    RowStore::Record& out) {
+                    RowStore::Record& out, bool with_cells = true) {
   std::size_t pos = 0;
   auto need = [&](std::size_t n) { return size - pos >= n; };
   if (!need(1)) return false;
@@ -110,13 +111,13 @@ bool decode_payload(const char* data, std::size_t size, bool with_seq,
   const std::uint32_t cell_count = get_u32(data + pos);
   pos += 4;
   out.cells.clear();
-  out.cells.reserve(cell_count);
+  if (with_cells) out.cells.reserve(cell_count);
   for (std::uint32_t i = 0; i < cell_count; ++i) {
     if (!need(4)) return false;
     const std::uint32_t len = get_u32(data + pos);
     pos += 4;
     if (!need(len)) return false;
-    out.cells.emplace_back(data + pos, len);
+    if (with_cells) out.cells.emplace_back(data + pos, len);
     pos += len;
   }
   return pos == size;
@@ -128,27 +129,31 @@ void frame_record(std::string& out, const std::string& payload) {
   out += payload;
 }
 
+constexpr std::size_t kFrameHeadBytes = 8;
+
 /// Reads one framed record from `in`; returns false on a clean or torn end
-/// (`torn` distinguishes the two). `payload` receives the verified bytes.
-bool read_frame(std::istream& in, std::string& payload, bool& torn) {
+/// (`torn` distinguishes the two). `frame` receives the verified bytes:
+/// length, CRC, then the payload from offset kFrameHeadBytes.
+bool read_frame(std::istream& in, std::string& frame, bool& torn) {
   torn = false;
-  char head[8];
-  in.read(head, sizeof head);
+  frame.resize(kFrameHeadBytes);
+  in.read(frame.data(), kFrameHeadBytes);
   if (in.gcount() == 0) return false;  // clean end
-  if (in.gcount() < static_cast<std::streamsize>(sizeof head)) {
+  if (in.gcount() < static_cast<std::streamsize>(kFrameHeadBytes)) {
     torn = true;
     return false;
   }
-  const std::uint32_t len = get_u32(head);
-  const std::uint32_t crc = get_u32(head + 4);
+  const std::uint32_t len = get_u32(frame.data());
+  const std::uint32_t crc = get_u32(frame.data() + 4);
   if (len == 0 || len > kMaxPayloadBytes) {
     torn = true;
     return false;
   }
-  payload.resize(len);
-  in.read(payload.data(), len);
+  frame.resize(kFrameHeadBytes + len);
+  char* payload = frame.data() + kFrameHeadBytes;
+  in.read(payload, len);
   if (in.gcount() < static_cast<std::streamsize>(len) ||
-      crc32(payload.data(), payload.size()) != crc) {
+      crc32(payload, len) != crc) {
     torn = true;
     return false;
   }
@@ -199,7 +204,7 @@ bool RowStore::file_exists() const {
 }
 
 std::uint64_t RowStore::scan_impl(
-    const std::function<void(const Record&)>& on_record,
+    const std::function<void(const Record&)>& on_record, bool with_cells,
     bool* header_present) const {
   if (header_present != nullptr) *header_present = false;
   std::ifstream in(path_, std::ios::binary);
@@ -221,30 +226,34 @@ std::uint64_t RowStore::scan_impl(
   }
   if (header_present != nullptr) *header_present = true;
   std::uint64_t clean = kHeaderBytes;
-  std::string payload;
+  std::string frame;
   Record record;
   bool torn = false;
-  while (read_frame(in, payload, torn)) {
-    if (!decode_payload(payload.data(), payload.size(), /*with_seq=*/false,
-                        record)) {
+  while (read_frame(in, frame, torn)) {
+    if (!decode_payload(frame.data() + kFrameHeadBytes,
+                        frame.size() - kFrameHeadBytes, /*with_seq=*/false,
+                        record, with_cells)) {
       break;  // undecodable but CRC-valid payload: treat as torn
     }
     record.seq = clean;
+    record.frame = frame;
     if (on_record) on_record(record);
-    clean += 8 + payload.size();
+    clean += frame.size();
   }
   return clean;
 }
 
 std::uint64_t RowStore::scan(
-    const std::function<void(const Record&)>& on_record) const {
-  return scan_impl(on_record, nullptr);
+    const std::function<void(const Record&)>& on_record,
+    bool with_cells) const {
+  return scan_impl(on_record, with_cells, nullptr);
 }
 
 void RowStore::open_append() {
   if (out_.is_open()) return;
   bool header_present = false;
-  const std::uint64_t clean = scan_impl(nullptr, &header_present);
+  const std::uint64_t clean =
+      scan_impl(nullptr, /*with_cells=*/false, &header_present);
   std::error_code ec;
   const auto size = std::filesystem::file_size(path_, ec);
   if (!ec && size > clean && clean >= kHeaderBytes) {
@@ -276,6 +285,13 @@ void RowStore::append(Kind kind, std::size_t point, std::size_t rep,
   }
   frame_record(buffer_,
                encode_payload(kind, point, rep, 0, cells, /*with_seq=*/false));
+}
+
+void RowStore::append_frames(std::string_view frames) {
+  if (!out_.is_open()) {
+    throw std::logic_error("RowStore: append before open_append");
+  }
+  buffer_ += frames;
 }
 
 void RowStore::flush() {
@@ -331,15 +347,16 @@ RowStore::RunReader::RunReader(const std::string& path)
 }
 
 bool RowStore::RunReader::next(Record& out) {
-  std::string payload;
+  std::string frame;
   bool torn = false;
-  if (!read_frame(in_, payload, torn)) {
+  if (!read_frame(in_, frame, torn)) {
     if (torn) {
       throw std::runtime_error("RowStore: corrupt spill run " + path_);
     }
     return false;
   }
-  if (!decode_payload(payload.data(), payload.size(), /*with_seq=*/true,
+  if (!decode_payload(frame.data() + kFrameHeadBytes,
+                      frame.size() - kFrameHeadBytes, /*with_seq=*/true,
                       out)) {
     throw std::runtime_error("RowStore: corrupt spill run " + path_);
   }

@@ -34,6 +34,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pas::exp {
@@ -59,6 +60,9 @@ class RowStore {
     /// records win when a (point, rep) appears more than once.
     std::uint64_t seq = 0;
     std::vector<std::string> cells;
+    /// In scan() callbacks: the record's bytes as stored (length, CRC,
+    /// payload), valid until the callback returns. Empty elsewhere.
+    std::string_view frame;
   };
 
   RowStore(std::string path, std::uint64_t identity_hash);
@@ -82,8 +86,11 @@ class RowStore {
   /// Streams every record of the clean prefix in file order. Returns the
   /// clean-prefix byte count (header included). Throws std::runtime_error
   /// on a magic or identity-hash mismatch. `on_record` may be null (used
-  /// to measure the prefix only).
-  std::uint64_t scan(const std::function<void(const Record&)>& on_record) const;
+  /// to measure the prefix only). Without `with_cells` each record is
+  /// validated just as strictly but its cells are left empty (readers that
+  /// need only the keys, or the frame).
+  std::uint64_t scan(const std::function<void(const Record&)>& on_record,
+                     bool with_cells = true) const;
 
   /// Opens the store for appending: validates the header, truncates a torn
   /// tail back to the clean prefix, and writes a fresh header when the file
@@ -96,6 +103,10 @@ class RowStore {
   /// per point boundary.
   void append(Kind kind, std::size_t point, std::size_t rep,
               const std::vector<std::string>& cells);
+
+  /// Buffers records framed by this format verbatim: the `frame` bytes
+  /// that scan() verified in a store of the same campaign.
+  void append_frames(std::string_view frames);
 
   /// Writes the buffered batch with a single write + flush.
   void flush();
@@ -126,7 +137,7 @@ class RowStore {
 
  private:
   std::uint64_t scan_impl(const std::function<void(const Record&)>& on_record,
-                          bool* header_present) const;
+                          bool with_cells, bool* header_present) const;
 
   std::string path_;
   std::uint64_t identity_hash_ = 0;

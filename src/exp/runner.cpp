@@ -181,7 +181,8 @@ CampaignReport run_campaign(const Manifest& manifest,
 
   if (!options.resume) {
     refuse_existing_outputs(options.out_csv, options.per_run_csv,
-                            options.metrics_path);
+                            options.metrics_path,
+                            discover_part_stores(options.out_csv));
   }
 
   const auto axis_names = axis_columns(manifest);
@@ -196,8 +197,14 @@ CampaignReport run_campaign(const Manifest& manifest,
       agg_options.owned_points.push_back(p);
     }
   }
+  const bool full_grid = agg_options.owned_points.empty();
   Aggregator aggregator(std::move(agg_options));
-  const std::size_t recovered = aggregator.load_existing();
+  std::size_t recovered = aggregator.load_existing();
+  // A killed drive's parts finish under a serial resume too. A shard owns
+  // only some of their points, so it leaves them alone.
+  if (full_grid && !options.out_csv.empty()) {
+    recovered += absorb_part_stores(aggregator, options.out_csv);
+  }
   const auto pending = aggregator.pending();
 
   serve::CampaignFeed* const feed = options.feed;

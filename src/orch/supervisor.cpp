@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -46,10 +45,6 @@ std::string self_exe_path(const char* argv0) {
   if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
 #endif
   return argv0 != nullptr ? std::string(argv0) : std::string();
-}
-
-std::string part_path(const std::string& base, int worker) {
-  return base + ".w" + std::to_string(worker);
 }
 
 std::string progress_line(std::size_t done, std::size_t total,
@@ -137,40 +132,6 @@ class SignalGuard {
   struct sigaction old_int_{}, old_term_{}, old_pipe_{};
 };
 
-/// The worker part stores `<out>.w<k>.pasrows` left by a drive that was
-/// killed before it could absorb them, sorted.
-std::vector<std::string> discover_part_stores(const std::string& out_csv) {
-  const fs::path out(out_csv);
-  fs::path dir = out.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string prefix = out.filename().string() + ".w";
-  constexpr std::string_view kStoreExt = ".pasrows";
-  std::vector<std::string> paths;
-  if (!fs::is_directory(dir)) return paths;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + kStoreExt.size() ||
-        name.compare(0, prefix.size(), prefix) != 0 ||
-        !name.ends_with(kStoreExt)) {
-      continue;
-    }
-    const std::string tail = name.substr(
-        prefix.size(), name.size() - prefix.size() - kStoreExt.size());
-    int id = 0;
-    const auto [ptr, ec] =
-        std::from_chars(tail.data(), tail.data() + tail.size(), id);
-    // Canonical ".w<k>" names only: reject trailing junk (".w0.tmp"),
-    // overflow-wide suffixes, and leading zeros (".w0009").
-    if (ec != std::errc{} || ptr != tail.data() + tail.size() || id < 0 ||
-        std::to_string(id) != tail) {
-      continue;
-    }
-    paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
 class Driver {
  public:
   Driver(const exp::Manifest& manifest, const DriveOptions& options)
@@ -222,8 +183,9 @@ class Driver {
   };
 
   /// Builds the campaign's store, loads what it (or its finalized CSVs)
-  /// already holds, absorbs `parts`, and claims every loaded point.
-  void open_store(const std::vector<std::string>& parts);
+  /// already holds, absorbs the parts of a killed drive when resuming, and
+  /// claims every loaded point.
+  void open_store();
   /// Absorbs worker `w`'s part store into the driver's and deletes it;
   /// returns how many of its points the protocol had not claimed yet (they
   /// are now claimed by `w` and counted as computed).
@@ -306,18 +268,18 @@ std::size_t Driver::absorb_part(const Worker& w) {
   return fresh;
 }
 
-void Driver::open_store(const std::vector<std::string>& parts) {
+void Driver::open_store() {
   aggregator_ = std::make_unique<exp::Aggregator>(
       exp::campaign_aggregator_options(manifest_, points_, options_.out_csv,
                                        options_.per_run_csv,
                                        options_.metrics_path));
   // An interrupted campaign of any topology resumes from its one store
   // (or its finalized CSVs); the parts of a drive killed before it could
-  // absorb them join it here.
+  // absorb them join it here. A fresh drive refused such parts, and the
+  // ones on disk now belong to its own live workers.
   report_.resumed = aggregator_->load_existing();
-  for (const auto& part : parts) {
-    report_.resumed += aggregator_->absorb(part).size();
-    fs::remove(part);
+  if (options_.resume) {
+    report_.resumed += exp::absorb_part_stores(*aggregator_, options_.out_csv);
   }
   for (std::size_t p = 0; p < points_.size(); ++p) {
     if (aggregator_->is_done(p)) claimed_.emplace(p, -1);
@@ -327,7 +289,7 @@ void Driver::open_store(const std::vector<std::string>& parts) {
 void Driver::spawn(int id) {
   Worker w;
   w.id = id;
-  w.part_csv = part_path(options_.out_csv, id);
+  w.part_csv = exp::part_path(options_.out_csv, id);
 
   // argv is built *before* fork: between fork and exec only
   // async-signal-safe calls are legal (a host with threads — the tests —
@@ -340,11 +302,11 @@ void Driver::spawn(int id) {
       "--jobs",          std::to_string(options_.jobs_per_worker)};
   if (!options_.per_run_csv.empty()) {
     args.push_back("--per-run");
-    args.push_back(part_path(options_.per_run_csv, id));
+    args.push_back(exp::part_path(options_.per_run_csv, id));
   }
   if (!options_.metrics_path.empty()) {
     args.push_back("--metrics");
-    args.push_back(part_path(options_.metrics_path, id));
+    args.push_back(exp::part_path(options_.metrics_path, id));
   }
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -710,12 +672,12 @@ DriveReport Driver::run() {
   report_.total_points = points_.size();
   report_.replications = manifest_.replications;
 
-  const auto parts = discover_part_stores(options_.out_csv);
   if (options_.resume) {
-    open_store(parts);
+    open_store();
   } else {
     exp::refuse_existing_outputs(options_.out_csv, options_.per_run_csv,
-                                 options_.metrics_path, parts);
+                                 options_.metrics_path,
+                                 exp::discover_part_stores(options_.out_csv));
   }
 
   std::vector<std::size_t> pending;
@@ -772,7 +734,7 @@ DriveReport Driver::run() {
     }
     // A fresh drive builds its (empty) store while the workers start up:
     // nothing reads it before the first worker exits.
-    if (!aggregator_) open_store({});
+    if (!aggregator_) open_store();
 
     while (!workers_.empty()) {
       std::vector<pollfd> fds;

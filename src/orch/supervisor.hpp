@@ -123,9 +123,6 @@ DriveReport drive(const exp::Manifest& manifest, const DriveOptions& options);
 /// available, else the given argv[0]) — what drive() should exec.
 [[nodiscard]] std::string self_exe_path(const char* argv0);
 
-/// The ".w<k>" part-file path for worker `k` of output `base`.
-[[nodiscard]] std::string part_path(const std::string& base, int worker);
-
 /// The --progress status line shared by drive and single-process mode:
 /// "progress: done/total points (pct%) | reps/s | ETA". `computed` counts
 /// only points simulated this invocation (resumed rows carry no elapsed

@@ -530,6 +530,30 @@ TEST_F(StoreAggregateTest, AbsorbCarriesPerRunAndTelemetryRowsWithSummary) {
   EXPECT_TRUE(fs::exists(part));
 }
 
+// absorb copies each verified frame verbatim: the driver's store holds
+// exactly the bytes that decoding every record of the complete batches and
+// appending it again from its cells writes.
+TEST_F(StoreAggregateTest, AbsorbWritesTheBytesOfADecodeAndReencode) {
+  const auto part = record_part("w0", 4, 3, {2, 0, 3, 1});
+  // Tear into point 1's summary: its batch is skipped.
+  fs::resize_file(part, fs::file_size(part) - 3);
+  const auto options = telemetry_options("driver", 4, 3);
+  Aggregator driver{AggregatorOptions(options)};
+  driver.load_existing();
+  EXPECT_EQ(driver.absorb(part), (std::vector<std::size_t>{2, 0, 3}));
+
+  const std::uint64_t identity =
+      RowStore::hash_identity(driver.columns(), 4, 3, {});
+  const std::string reencoded = (dir_ / "reencoded.pasrows").string();
+  RowStore out(reencoded, identity);
+  out.open_append();
+  RowStore(part, identity).scan([&](const RowStore::Record& r) {
+    if (r.point != 1) out.append(r.kind, r.point, r.rep, r.cells);
+  });
+  out.close();
+  EXPECT_EQ(slurp(options.store_path), slurp(reencoded));
+}
+
 TEST_F(StoreAggregateTest, AbsorbSkipsATornLastBatch) {
   const auto part = record_part("w0", 3, 2, {0, 1});
   // Tear into point 1's summary record, the batch's commit mark.

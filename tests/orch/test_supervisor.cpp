@@ -143,6 +143,16 @@ class SupervisorTest : public ::testing::Test {
     ASSERT_TRUE(fs::exists(exp::RowStore::path_for(out)));
   }
 
+  /// The store a drive builds at start-up, before any worker part is
+  /// absorbed: `<out>.pasrows` of out.csv/runs.csv holding only its header.
+  void leave_header_only_store() {
+    exp::Aggregator store(exp::campaign_aggregator_options(
+        manifest_, exp::expand_grid(manifest_), path("out.csv"),
+        path("runs.csv"), ""));
+    store.load_existing();
+    ASSERT_EQ(fs::file_size(exp::RowStore::path_for(path("out.csv"))), 16U);
+  }
+
   /// Drives `o` and sends this process SIGINT once worker 0 has stored its
   /// first point (its part store outgrows the 16-byte header), so the drive
   /// is interrupted mid-campaign unless its workers finish every point
@@ -159,7 +169,7 @@ class SupervisorTest : public ::testing::Test {
       }
       ~IgnoreSigint() { ::sigaction(SIGINT, &old, nullptr); }
     } guard;
-    const std::string part = exp::RowStore::path_for(part_path(o.out_csv, 0));
+    const std::string part = exp::RowStore::path_for(exp::part_path(o.out_csv, 0));
     // A jthread asks the poll to stop and joins on every exit path, before
     // the guard is restored.
     const std::jthread interrupter([&part](const std::stop_token& stop) {
@@ -256,9 +266,9 @@ TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
 // was reassigned). Resume absorbs the first copy, skips the second, and
 // still finalizes to the exact serial bytes.
 TEST_F(SupervisorTest, ResumeDropsDuplicateRowsAcrossParts) {
-  record_interrupted(part_path(path("out.csv"), 0), {0, 1, 2});
+  record_interrupted(exp::part_path(path("out.csv"), 0), {0, 1, 2});
   // Point 2 duplicated across parts.
-  record_interrupted(part_path(path("out.csv"), 1), {2, 4});
+  record_interrupted(exp::part_path(path("out.csv"), 1), {2, 4});
 
   auto o = options(2, "out.csv");
   o.resume = true;
@@ -344,6 +354,60 @@ TEST_F(SupervisorTest, SigintLeavesOneStoreThatASerialResumeFinishes) {
     EXPECT_EQ(second.skipped, first.computed + first.resumed);
     EXPECT_EQ(second.skipped + second.computed, 6U);
   }
+  expect_merged_identical("out.csv", "runs.csv");
+}
+
+// What a SIGKILLed drive leaves: its start-up store `<out>.pasrows` (header
+// only) and two worker parts it never absorbed, holding points {0, 1, 2}
+// and {4}. A fresh serial run refuses the parts; a serial --resume absorbs
+// them, reports their points as resumed, deletes them and ends at the
+// serial bytes.
+TEST_F(SupervisorTest, SerialResumeFinishesAKilledDrivesParts) {
+  record_interrupted(exp::part_path(path("out.csv"), 0), {0, 1, 2},
+                     exp::part_path(path("runs.csv"), 0));
+  record_interrupted(exp::part_path(path("out.csv"), 1), {4},
+                     exp::part_path(path("runs.csv"), 1));
+  exp::CampaignOptions serial;
+  serial.jobs = 1;
+  serial.out_csv = path("out.csv");
+  serial.per_run_csv = path("runs.csv");
+  EXPECT_THROW((void)exp::run_campaign(manifest_, serial), std::runtime_error);
+  leave_header_only_store();
+
+  serial.resume = true;
+  const auto report = exp::run_campaign(manifest_, serial);
+  EXPECT_EQ(report.skipped, 4U);
+  EXPECT_EQ(report.computed, 2U);
+  expect_merged_identical("out.csv", "runs.csv");
+}
+
+// --export of the same leftovers renders the parts' points, deletes the
+// parts and keeps the store, which a serial --resume then finishes.
+TEST_F(SupervisorTest, ExportAbsorbsAKilledDrivesParts) {
+  record_interrupted(exp::part_path(path("out.csv"), 0), {0, 1, 2},
+                     exp::part_path(path("runs.csv"), 0));
+  record_interrupted(exp::part_path(path("out.csv"), 1), {4},
+                     exp::part_path(path("runs.csv"), 1));
+  leave_header_only_store();
+
+  ASSERT_EQ(run_cli("--export --manifest manifest.json --out out.csv "
+                    "--per-run runs.csv"),
+            0);
+  EXPECT_TRUE(fs::exists(path("out.csv.pasrows")));
+  EXPECT_TRUE(exp::discover_part_stores(path("out.csv")).empty());
+  auto want = lines_of(path("ref.csv"));
+  want.erase(want.begin() + 4);  // point 3
+  want.pop_back();               // point 5
+  EXPECT_EQ(lines_of(path("out.csv")), want);
+
+  exp::CampaignOptions serial;
+  serial.jobs = 1;
+  serial.resume = true;
+  serial.out_csv = path("out.csv");
+  serial.per_run_csv = path("runs.csv");
+  const auto report = exp::run_campaign(manifest_, serial);
+  EXPECT_EQ(report.skipped, 4U);
+  EXPECT_EQ(report.computed, 2U);
   expect_merged_identical("out.csv", "runs.csv");
 }
 
