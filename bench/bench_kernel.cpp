@@ -4,8 +4,9 @@
 // The CI perf gate (tools/check_bench_regression.py against
 // bench/BENCH_kernel_baseline.json) watches BM_Simulator_EventStorm,
 // BM_Simulator_EventStormPayload, BM_Network_BroadcastFanout,
-// BM_Scenario_SingleRun, BM_Mac_MultihopRun, BM_EventQueue_MacShaped and
-// BM_EventQueue_Sparse at 15%, and
+// BM_Scenario_SingleRun, BM_Mac_MultihopRun, BM_Stimulus_PlumeArrivalMap,
+// BM_World_DeployPaper, BM_EventQueue_MacShaped and BM_EventQueue_Sparse at
+// 15%, and
 // BM_Aggregator_Record / BM_Aggregator_Finalize (filesystem-bound) at a
 // looser 50%; keep their workloads stable.
 #include <benchmark/benchmark.h>
@@ -27,6 +28,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "stimulus/arrival_map.hpp"
+#include "stimulus/plume.hpp"
 #include "world/config_json.hpp"
 #include "world/deployment.hpp"
 #include "world/paper_setup.hpp"
@@ -302,6 +305,52 @@ void BM_Mac_MultihopRun(benchmark::State& state) {
   benchmark::DoNotOptimize(samples);
 }
 BENCHMARK(BM_Mac_MultihopRun)->Unit(benchmark::kMicrosecond);
+
+void BM_Stimulus_PlumeArrivalMap(benchmark::State& state) {
+  // A plume run's ground-truth arrival map: the paper plume's arrival time
+  // at each of the paper's 30 nodes (uniform over 40 m x 40 m) with the
+  // 150 s horizon, from a model built once, as a Workspace caches it. The
+  // layouts cycle through a fixed set of 64.
+  const auto cfg = pas::world::paper_scenario({});
+  const pas::stimulus::GaussianPlumeModel model(cfg.plume);
+  pas::sim::Pcg32 rng(11, 11);
+  std::vector<std::vector<pas::geom::Vec2>> layouts;
+  for (int i = 0; i < 64; ++i) {
+    layouts.push_back(pas::world::uniform_deployment(
+        cfg.deployment.count, cfg.deployment.region, rng));
+  }
+  pas::stimulus::ArrivalMap arrivals;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    arrivals.assign(model, layouts[i++ % layouts.size()], cfg.duration_s);
+    benchmark::DoNotOptimize(arrivals.times().data());
+  }
+}
+BENCHMARK(BM_Stimulus_PlumeArrivalMap)->Unit(benchmark::kMicrosecond);
+
+void BM_World_DeployPaper(benchmark::State& state) {
+  // A paper run's deployment, as world::Workspace draws it: the 30-node
+  // uniform layout over 40 m x 40 m redrawn from the run's deployment
+  // stream until the 10 m disk graph is connected (~3.9 attempts), into a
+  // buffer kept across runs. Seeds cycle through 1..1024.
+  const auto cfg = pas::world::paper_scenario({});
+  std::vector<pas::geom::Vec2> positions;
+  std::uint64_t run = 0;
+  std::uint64_t attempts = 0;
+  for (auto _ : state) {
+    const pas::sim::SeedSequence seeds(1 + run++ % 1024);
+    for (std::size_t a = 0; a < cfg.max_deployment_attempts; ++a) {
+      pas::sim::Pcg32 rng =
+          seeds.stream(pas::sim::SeedSequence::kDeployment, a);
+      pas::world::generate_deployment(cfg.deployment, rng, positions);
+      ++attempts;
+      if (pas::world::is_connected(positions, cfg.radio.range_m)) break;
+    }
+  }
+  state.counters["attempts"] = benchmark::Counter(
+      static_cast<double>(attempts), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_World_DeployPaper)->Unit(benchmark::kMicrosecond);
 
 void BM_Scenario_Replicated(benchmark::State& state) {
   // A replicated point, serially — the unit of campaign work. Unlike

@@ -7,36 +7,28 @@
 namespace pas::geom {
 
 GridIndex::GridIndex(const std::vector<Vec2>& points, Aabb bounds,
-                     double cell_size) {
-  assign(points, bounds, cell_size);
-}
-
-void GridIndex::assign(const std::vector<Vec2>& points, Aabb bounds,
-                       double cell_size) {
+                     double cell_size)
+    : points_(points), bounds_(bounds), cell_(cell_size) {
   if (cell_size <= 0.0) {
     throw std::invalid_argument("GridIndex: cell_size must be positive");
   }
-  points_.assign(points.begin(), points.end());
-  bounds_ = bounds;
-  cell_ = cell_size;
   nx_ = std::max(1, static_cast<int>(std::ceil(bounds_.width() / cell_)));
   ny_ = std::max(1, static_cast<int>(std::ceil(bounds_.height() / cell_)));
 
-  // Counting sort by cell: counts land in cell_start_[c + 1], whose prefix
-  // sums are then the CSR offsets.
   const std::size_t ncells = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
-  cell_start_.assign(ncells + 1, 0);
+  std::vector<std::uint32_t> counts(ncells, 0);
   for (const Vec2& p : points_) {
-    ++cell_start_[cell_of(cell_x(p.x), cell_y(p.y)) + 1];
+    ++counts[cell_of(cell_x(p.x), cell_y(p.y))];
   }
+  cell_start_.assign(ncells + 1, 0);
   for (std::size_t c = 0; c < ncells; ++c) {
-    cell_start_[c + 1] += cell_start_[c];
+    cell_start_[c + 1] = cell_start_[c] + counts[c];
   }
   point_ids_.resize(points_.size());
-  cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
+  std::vector<std::uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (std::uint32_t i = 0; i < points_.size(); ++i) {
     const Vec2& p = points_[i];
-    point_ids_[cursor_[cell_of(cell_x(p.x), cell_y(p.y))]++] = i;
+    point_ids_[cursor[cell_of(cell_x(p.x), cell_y(p.y))]++] = i;
   }
 }
 

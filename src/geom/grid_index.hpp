@@ -2,8 +2,7 @@
 //
 // The radio layer asks "which nodes are within range R of p" once per
 // broadcast; with cell size ~R this is O(neighbors). Points are fixed after
-// build (sensor nodes do not move); assign() rebuilds the index over a new
-// point set in the storage of the old one.
+// build (sensor nodes do not move), so the index is immutable.
 #pragma once
 
 #include <algorithm>
@@ -18,15 +17,9 @@ namespace pas::geom {
 
 class GridIndex {
  public:
-  /// An index over no points; assign() fills it.
-  GridIndex() = default;
-
   /// Builds an index over `points` covering `bounds` with the given cell
   /// size. Points outside bounds are clamped into the edge cells.
   GridIndex(const std::vector<Vec2>& points, Aabb bounds, double cell_size);
-
-  /// Rebuilds the index as the constructor would, reusing its buffers.
-  void assign(const std::vector<Vec2>& points, Aabb bounds, double cell_size);
 
   /// Indices of points with distance(p, point) <= radius.
   [[nodiscard]] std::vector<std::uint32_t> query_radius(Vec2 p, double radius) const;
@@ -75,8 +68,6 @@ class GridIndex {
   // CSR layout: cell_start_[c]..cell_start_[c+1] indexes into point_ids_.
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> point_ids_;
-  /// assign() scratch: each cell's next free slot in point_ids_.
-  std::vector<std::uint32_t> cursor_;
 };
 
 }  // namespace pas::geom

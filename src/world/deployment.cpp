@@ -1,7 +1,12 @@
 #include "world/deployment.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <queue>
 #include <stdexcept>
+
+#include "geom/grid_index.hpp"
 
 namespace pas::world {
 
@@ -124,13 +129,37 @@ std::vector<geom::Vec2> generate_deployment(const DeploymentConfig& config,
 }
 
 bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
-  ConnectivityScratch scratch;
-  return is_connected(positions, range, scratch);
-}
-
-bool is_connected(const std::vector<geom::Vec2>& positions, double range,
-                  ConnectivityScratch& scratch) {
-  if (positions.empty()) return true;
+  const std::size_t n = positions.size();
+  if (n == 0) return true;
+  if (!(range > 0.0)) {
+    throw std::invalid_argument("is_connected: range must be > 0");
+  }
+  if (n <= 64) {
+    // One adjacency mask per node, filled branch-free over all pairs, then
+    // a breadth-first search over the masks: several times faster than
+    // the grid index on the paper's 30 nodes, and nothing to allocate.
+    const double r2 = range * range;
+    std::array<std::uint64_t, 64> adjacent{};
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t mask = 0;
+      for (std::size_t j = 0; j < n; ++j) {
+        mask |= static_cast<std::uint64_t>(
+                    geom::distance2(positions[j], positions[i]) <= r2)
+                << j;
+      }
+      adjacent[i] = mask;
+    }
+    std::uint64_t reached = 1;
+    std::uint64_t frontier = 1;
+    while (frontier != 0) {
+      const int i = std::countr_zero(frontier);
+      frontier &= frontier - 1;
+      const std::uint64_t fresh = adjacent[static_cast<std::size_t>(i)] & ~reached;
+      reached |= fresh;
+      frontier |= fresh;
+    }
+    return reached == (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1);
+  }
   geom::Aabb bounds{positions.front(), positions.front()};
   for (const auto& p : positions) {
     bounds.lo.x = std::min(bounds.lo.x, p.x);
@@ -138,25 +167,24 @@ bool is_connected(const std::vector<geom::Vec2>& positions, double range,
     bounds.hi.x = std::max(bounds.hi.x, p.x);
     bounds.hi.y = std::max(bounds.hi.y, p.y);
   }
-  scratch.index.assign(positions, bounds.inflated(1.0), range);
-  // Breadth-first from node 0; `frontier` is the queue, consumed from
-  // `head`.
-  auto& seen = scratch.seen;
-  auto& frontier = scratch.frontier;
-  seen.assign(positions.size(), 0);
-  frontier.clear();
-  frontier.push_back(0);
+  const geom::GridIndex index(positions, bounds.inflated(1.0), range);
+  std::vector<char> seen(n, 0);
+  std::queue<std::uint32_t> frontier;
+  frontier.push(0);
   seen[0] = 1;
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    scratch.index.for_each_in_radius(
-        positions[frontier[head]], range, [&](std::uint32_t next) {
-          if (seen[next] == 0) {
-            seen[next] = 1;
-            frontier.push_back(next);
-          }
-        });
+  std::size_t visited = 1;
+  while (!frontier.empty()) {
+    const std::uint32_t cur = frontier.front();
+    frontier.pop();
+    index.for_each_in_radius(positions[cur], range, [&](std::uint32_t next) {
+      if (seen[next] == 0) {
+        seen[next] = 1;
+        ++visited;
+        frontier.push(next);
+      }
+    });
   }
-  return frontier.size() == positions.size();
+  return visited == n;
 }
 
 }  // namespace pas::world

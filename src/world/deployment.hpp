@@ -7,15 +7,14 @@
 //
 // A run redraws its deployment until the disk graph is connected (the
 // paper grid takes ~4 attempts), so the hot path fills a caller-owned
-// vector and checks connectivity with caller-owned scratch; the returning
-// overloads are thin wrappers with the same draws.
+// vector (the returning overloads are thin wrappers with the same draws)
+// and checks connectivity without allocating.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "geom/aabb.hpp"
-#include "geom/grid_index.hpp"
 #include "geom/vec2.hpp"
 #include "sim/rng.hpp"
 
@@ -69,20 +68,11 @@ void generate_deployment(const DeploymentConfig& config, sim::Pcg32& rng,
     std::size_t count, geom::Aabb region, double min_separation,
     sim::Pcg32& rng);
 
-/// True if the disk graph over `positions` with radius `range` is connected.
+/// True if the disk graph over `positions` with radius `range` is connected
+/// (`range` must be > 0 unless `positions` is empty). Up to 64 nodes it
+/// allocates nothing.
 [[nodiscard]] bool is_connected(const std::vector<geom::Vec2>& positions,
                                 double range);
 
-/// The buffers of a connectivity check, kept between checks so a warm one
-/// allocates nothing.
-struct ConnectivityScratch {
-  geom::GridIndex index;
-  std::vector<char> seen;
-  std::vector<std::uint32_t> frontier;
-};
-
-/// is_connected() using `scratch`'s buffers.
-[[nodiscard]] bool is_connected(const std::vector<geom::Vec2>& positions,
-                                double range, ConnectivityScratch& scratch);
 
 }  // namespace pas::world

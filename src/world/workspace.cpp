@@ -68,7 +68,7 @@ void Workspace::execute(const ScenarioConfig& config,
        ++attempt) {
     sim::Pcg32 rng = seeds.stream(sim::SeedSequence::kDeployment, attempt);
     generate_deployment(config.deployment, rng, positions_);
-    if (is_connected(positions_, config.radio.range_m, connectivity_)) {
+    if (is_connected(positions_, config.radio.range_m)) {
       deployment_attempts_ = attempt + 1;
       connected = true;
       break;

@@ -10,11 +10,11 @@
 //
 // A Workspace owns the world's storage across runs: the simulator's event
 // slab, the network's neighbor lists, the node and outcome tables, the
-// deployment and connectivity-check buffers, the arrival-map buffer, and a
-// stimulus-model cache keyed by the config's stimulus section. Each run()
-// re-seeds and resets them. Results are guaranteed byte-identical to a
-// fresh run_scenario() — the reuse is purely allocational — and
-// tests/world/test_workspace.cpp enforces it.
+// deployment and arrival-map buffers, and a stimulus-model cache keyed by
+// the config's stimulus section. Each run() re-seeds and resets them.
+// Results are guaranteed byte-identical to a fresh run_scenario() — the
+// reuse is purely allocational — and tests/world/test_workspace.cpp
+// enforces it.
 //
 // A Workspace is single-threaded like the simulations it hosts; give each
 // worker thread its own (exp::run_campaign and world::run_replicated do).
@@ -79,7 +79,6 @@ class Workspace {
   bool model_valid_ = false;
 
   std::vector<geom::Vec2> positions_;
-  ConnectivityScratch connectivity_;
   stimulus::ArrivalMap arrivals_;
   std::vector<node::SensorNode> nodes_;
   std::vector<metrics::NodeOutcome> outcomes_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+
 namespace pas::world {
 namespace {
 
@@ -88,6 +92,40 @@ TEST(DeploymentKindNames, Stable) {
   EXPECT_STREQ(to_string(DeploymentKind::kGrid), "grid");
   EXPECT_STREQ(to_string(DeploymentKind::kUniform), "uniform");
   EXPECT_STREQ(to_string(DeploymentKind::kPoissonDisk), "poisson-disk");
+}
+
+// The disk graph's connectivity against a depth-first search over all
+// pairs, on random layouts around the connectivity threshold, both up to 64
+// nodes (adjacency masks) and beyond (grid index).
+TEST(IsConnected, MatchesAllPairsSearch) {
+  sim::Pcg32 rng(9, 9);
+  std::size_t connected = 0;
+  std::size_t cases = 0;
+  for (const std::size_t n : {2, 5, 30, 63, 64, 65, 120}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const double side = 6.0 * std::sqrt(static_cast<double>(n));
+      const auto pts = uniform_deployment(n, geom::Aabb::square(side), rng);
+      const double range = rng.uniform(5.0, 12.0);
+      std::vector<char> seen(n, 0);
+      const std::function<void(std::size_t)> visit = [&](std::size_t i) {
+        seen[i] = 1;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (seen[j] == 0 && geom::distance2(pts[i], pts[j]) <= range * range) {
+            visit(j);
+          }
+        }
+      };
+      visit(0);
+      const bool want = std::count(seen.begin(), seen.end(), 1) ==
+                        static_cast<std::ptrdiff_t>(n);
+      ASSERT_EQ(is_connected(pts, range), want) << n << " nodes, trial " << trial;
+      connected += want ? 1 : 0;
+      ++cases;
+    }
+  }
+  EXPECT_GT(connected, cases / 5);
+  EXPECT_LT(connected, cases - cases / 5);
+  EXPECT_THROW((void)is_connected({{0.0, 0.0}}, 0.0), std::invalid_argument);
 }
 
 }  // namespace
