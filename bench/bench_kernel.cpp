@@ -346,6 +346,7 @@ void BM_World_DeployPaper(benchmark::State& state) {
       ++attempts;
       if (pas::world::is_connected(positions, cfg.radio.range_m)) break;
     }
+    benchmark::DoNotOptimize(positions.data());
   }
   state.counters["attempts"] = benchmark::Counter(
       static_cast<double>(attempts), benchmark::Counter::kAvgIterations);
