@@ -909,12 +909,14 @@ std::string part_path(const std::string& base, int worker) {
 
 std::vector<std::string> discover_part_stores(const std::string& csv_path) {
   namespace fs = std::filesystem;
+  std::vector<std::string> paths;
+  // An in-memory campaign has no output, so no parts.
+  if (csv_path.empty()) return paths;
   const fs::path out(csv_path);
   fs::path dir = out.parent_path();
   if (dir.empty()) dir = ".";
   const std::string prefix = out.filename().string() + ".w";
   constexpr std::string_view kStoreExt = ".pasrows";
-  std::vector<std::string> paths;
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) return paths;
   for (const auto& entry : fs::directory_iterator(dir)) {

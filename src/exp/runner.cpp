@@ -202,9 +202,7 @@ CampaignReport run_campaign(const Manifest& manifest,
   std::size_t recovered = aggregator.load_existing();
   // A killed drive's parts finish under a serial resume too. A shard owns
   // only some of their points, so it leaves them alone.
-  if (full_grid && !options.out_csv.empty()) {
-    recovered += absorb_part_stores(aggregator, options.out_csv);
-  }
+  if (full_grid) recovered += absorb_part_stores(aggregator, options.out_csv);
   const auto pending = aggregator.pending();
 
   serve::CampaignFeed* const feed = options.feed;

@@ -20,12 +20,12 @@
 // [previous probe, that probe]. The bracket is trusted only when both
 // Newton solves converged, a real covered() call at the probe agrees, and
 // g at the previous probe lies below −margin on the rising side of τ* (so
-// no earlier probe can be covered in floating point either); kNever is
-// returned directly only when g(τ*) < −margin or no probe before the
-// horizon can be covered by that same test. Everything else — g near 0
-// within the margin, an interval that falls between two probes, a probe
-// beyond the cached grid — falls back to the scan, bounded at the time the
-// peak concentration drops below threshold.
+// no earlier probe can be covered in floating point either). kNever is
+// returned directly only when g(τ*) < −margin, or when that margin test
+// shows every probe up to the horizon uncovered (as when the covered
+// interval falls between two probes). Everything else — g within the
+// margin of 0, a candidate beyond the cached grid — falls back to the
+// scan, bounded at the time the peak concentration drops below threshold.
 #pragma once
 
 #include <vector>

@@ -368,8 +368,9 @@ int main(int argc, char** argv) {
     if (do_export) {
       // Render the CSV/JSONL/telemetry artifacts out of an existing row
       // store without running anything — the recovery hatch for an
-      // interrupted campaign whose outputs never materialized. Keeps the
-      // store (finalize, not export, is what retires it).
+      // interrupted campaign whose outputs never materialized. A killed
+      // drive's worker parts are absorbed into the store and deleted. Keeps
+      // the store (finalize, not export, is what retires it).
       if (worker || drive_workers != 0 || dry_run || !trace_path.empty() ||
           !serve_spec.empty()) {
         std::fprintf(stderr,
@@ -379,7 +380,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       const std::string store = pas::exp::RowStore::path_for(out_csv);
-      if (!std::filesystem::exists(store)) {
+      if (!std::filesystem::exists(store) &&
+          pas::exp::discover_part_stores(out_csv).empty()) {
         // A finalized campaign has no store: its artifacts are already
         // rendered, and seeding a store from them would leave it looking
         // interrupted.
@@ -392,6 +394,7 @@ int main(int argc, char** argv) {
       pas::exp::Aggregator aggregator(pas::exp::campaign_aggregator_options(
           manifest, points, out_csv, per_run_csv, metrics_path));
       aggregator.load_existing();
+      pas::exp::absorb_part_stores(aggregator, out_csv);
       aggregator.compact();
       write_jsonl(out_csv, jsonl_out);
       std::printf("exported %zu of %zu points from %s -> %s\n",
