@@ -74,5 +74,4 @@ void generate_deployment(const DeploymentConfig& config, sim::Pcg32& rng,
 [[nodiscard]] bool is_connected(const std::vector<geom::Vec2>& positions,
                                 double range);
 
-
 }  // namespace pas::world
