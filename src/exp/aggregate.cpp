@@ -22,6 +22,9 @@ namespace {
 /// Default spill-buffer budget for the external-merge export.
 constexpr std::size_t kDefaultSpillBudgetBytes = 32u << 20;
 
+/// Rows an import buffers before it writes them to the store.
+constexpr std::size_t kImportFlushRows = 4096;
+
 /// Replication counts up to this use exact (sort-based) delay quantiles in
 /// record(); beyond it the streaming t-digest answers instead. The
 /// threshold keeps every existing golden CSV bit-identical (campaign
@@ -51,6 +54,12 @@ std::string join_csv(const std::vector<std::string>& cells) {
     line += io::CsvWriter::escape(cells[i]);
   }
   return line;
+}
+
+std::runtime_error header_mismatch(const std::string& path) {
+  return std::runtime_error("Aggregator: the header of " + path +
+                            " does not match this campaign's columns "
+                            "(an output of another manifest?)");
 }
 
 bool parse_index(const std::string& cell, std::size_t& out) {
@@ -233,110 +242,29 @@ std::string Aggregator::csv_line(const std::vector<std::string>& cells) const {
   return join_csv(cells);
 }
 
-void Aggregator::load_rows_file(
-    const std::string& path, const std::vector<std::string>& want_header,
-    const char* flag_hint, std::size_t key_arity,
-    const std::function<void(std::size_t, std::size_t,
-                             std::vector<std::string>)>& on_row) {
-  std::ifstream in(path);
-  if (!in) return;
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (first) {
-      first = false;
-      if (split_csv_line(line) != want_header) {
-        throw std::runtime_error(
-            "Aggregator: existing output header does not match this "
-            "campaign (" + path + "); delete it or change " + flag_hint);
-      }
-      continue;
-    }
-    auto cells = split_csv_line(line);
-    // A row truncated by a kill mid-write has the wrong cell count;
-    // drop it and let the runner recompute that point.
-    if (cells.size() != want_header.size()) continue;
-    std::size_t point = 0, rep = 0;
-    if (!parse_index(cells[0], point)) continue;
-    if (key_arity > 1 && !parse_index(cells[1], rep)) continue;
-    if (point >= total_points_) continue;
-    if (!owns(point)) {
-      throw std::runtime_error(
-          "Aggregator: row for point " + std::to_string(point) + " in " +
-          path +
-          " does not belong to this shard (wrong --shard/--out pairing?)");
-    }
-    on_row(point, rep, std::move(cells));
+struct Aggregator::Held {
+  std::size_t replications = 0;
+  std::vector<std::uint8_t> summary;
+  std::vector<std::uint8_t> telemetry;
+  /// Indexed point × replications + rep; empty without per-run output.
+  std::vector<std::uint8_t> runs;
+
+  /// Marks a key held; false when it already was.
+  bool take(RowStore::Kind kind, std::size_t point, std::size_t rep) {
+    std::uint8_t& bit = kind == RowStore::Kind::kSummary ? summary[point]
+                        : kind == RowStore::Kind::kTelemetry
+                            ? telemetry[point]
+                            : runs[point * replications + rep];
+    return std::exchange(bit, std::uint8_t{1}) == 0;
   }
-}
 
-std::map<std::size_t, std::vector<std::string>> Aggregator::load_point_rows() {
-  std::map<std::size_t, std::vector<std::string>> rows;
-  load_rows_file(
-      csv_path_, columns_, "--out", /*key_arity=*/1,
-      [&](std::size_t point, std::size_t, std::vector<std::string> cells) {
-        if (!expected_identity_.empty()) {
-          // cells[1..1+axis_count] are the seed + axis values, and the
-          // replications cell follows them; a mismatch means the file was
-          // produced by a different manifest, and resuming over it would
-          // mix incompatible results. (Seeds are independent of the
-          // replication count, hence the separate check.)
-          const auto& want = expected_identity_[point];
-          bool matches = true;
-          for (std::size_t k = 0; matches && k < want.size(); ++k) {
-            matches = cells[1 + k] == want[k];
-          }
-          if (matches && replications_ > 0) {
-            matches =
-                cells[1 + want.size()] == std::to_string(replications_);
-          }
-          if (!matches) {
-            throw std::runtime_error(
-                "Aggregator: row for point " + std::to_string(point) +
-                " in " + csv_path_ +
-                " was computed with different parameters (manifest "
-                "changed?); delete the file or change --out");
-          }
-        }
-        rows[point] = std::move(cells);
-      });
-  return rows;
-}
-
-std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
-Aggregator::load_per_run_rows() {
-  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
-      groups;
-  load_rows_file(
-      per_run_path_, per_run_columns_, "--per-run",
-      /*key_arity=*/2,
-      [&](std::size_t point, std::size_t rep,
-          std::vector<std::string> cells) {
-        if (rep >= replications_) return;
-        if (!expected_identity_.empty()) {
-          // Mirror of load_point_rows' identity check: cells are
-          // point,rep,seed,axes...; the run's seed must be the point seed
-          // plus the replication index, and the axis cells must match.
-          const auto& want = expected_identity_[point];
-          std::size_t point_seed = 0;
-          bool matches = parse_index(want.front(), point_seed) &&
-                         cells[2] == std::to_string(point_seed + rep);
-          for (std::size_t k = 1; matches && k < want.size(); ++k) {
-            matches = cells[2 + k] == want[k];
-          }
-          if (!matches) {
-            throw std::runtime_error(
-                "Aggregator: run row for point " + std::to_string(point) +
-                " in " + per_run_path_ +
-                " was computed with different parameters (manifest "
-                "changed?); delete the file or change --per-run");
-          }
-        }
-        groups[point][rep] = std::move(cells);
-      });
-  return groups;
-}
+  /// True when every replication of `point` is held.
+  [[nodiscard]] bool group_complete(std::size_t point) const {
+    const std::uint8_t* first = runs.data() + point * replications;
+    return std::find(first, first + replications, std::uint8_t{0}) ==
+           first + replications;
+  }
+};
 
 void Aggregator::ensure_store() {
   if (!store_) {
@@ -345,25 +273,16 @@ void Aggregator::ensure_store() {
   if (!store_->is_open()) store_->open_append();
 }
 
-std::size_t Aggregator::load_store() {
+Aggregator::ImportReport Aggregator::load(
+    std::vector<std::pair<std::string, RowStore::Kind>> inputs) {
   store_ = std::make_unique<RowStore>(store_path_, identity_hash_);
-  std::error_code ec;
-  if (!store_->file_exists() &&
-      (std::filesystem::exists(csv_path_, ec) ||
-       (!per_run_path_.empty() &&
-        std::filesystem::exists(per_run_path_, ec)))) {
-    // A finalized or bare artifact (or a stale per-run file from another
-    // campaign) is on disk: run the CSV readers, which validate every
-    // row's identity, and seed a fresh store from the survivors.
-    seed_store_from_csv();
-    import_telemetry(std::vector<std::uint8_t>(total_points_, 0));
-    return done_count_;
-  }
+  const bool created = !store_->file_exists();
   const bool per_run = !per_run_path_.empty();
-  std::vector<std::uint8_t> summary_live(total_points_, 0);
-  std::vector<std::uint8_t> telemetry_live(total_points_, 0);
-  std::vector<std::uint8_t> rep_live;
-  if (per_run) rep_live.assign(total_points_ * replications_, 0);
+  Held held{.replications = replications_,
+            .summary = std::vector<std::uint8_t>(total_points_, 0),
+            .telemetry = std::vector<std::uint8_t>(total_points_, 0),
+            .runs = std::vector<std::uint8_t>(
+                per_run ? total_points_ * replications_ : 0, 0)};
   // Scanned before open_append, which validates the header against this
   // campaign's identity hash and truncates a torn trailing record: a
   // refused resume must leave the store byte-unchanged.
@@ -376,59 +295,139 @@ std::size_t Aggregator::load_store() {
           " does not belong to this shard (wrong --shard/--out pairing?)");
     }
     refuse_unexported(r.kind, store_path_);
-    switch (r.kind) {
-      case RowStore::Kind::kSummary:
-        summary_live[r.point] = 1;
-        break;
-      case RowStore::Kind::kTelemetry:
-        telemetry_live[r.point] = 1;
-        break;
-      case RowStore::Kind::kPerRun:
-        if (per_run && r.rep < replications_) {
-          rep_live[r.point * replications_ + r.rep] = 1;
-        }
-        break;
+    if (r.kind != RowStore::Kind::kPerRun || r.rep < replications_) {
+      held.take(r.kind, r.point, r.rep);
     }
   }, /*with_cells=*/false);
-  store_->open_append();
+
+  // Imported in the order record() commits a point's batch, so a kill
+  // mid-import never leaves a summary stored ahead of the rows it vouches
+  // for.
+  std::stable_sort(inputs.begin(), inputs.end(),
+                   [](const auto& a, const auto& b) {
+                     return kind_rank(a.second) < kind_rank(b.second);
+                   });
+  ImportReport report;
+  try {
+    store_->open_append();
+    for (const auto& [path, kind] : inputs) {
+      import_file(path, kind, held, report);
+    }
+    store_->flush();
+  } catch (...) {
+    if (created) store_->remove_file();
+    throw;
+  }
 
   for (std::size_t p = 0; p < total_points_; ++p) {
-    if (summary_live[p] == 0) continue;
-    if (per_run) {
-      // A summary without its full per-run group is torn (kill between the
-      // group and the summary, or a partial batch) — recompute the point.
-      bool complete = true;
-      for (std::size_t r = 0; complete && r < replications_; ++r) {
-        complete = rep_live[p * replications_ + r] != 0;
-      }
-      if (!complete) continue;
+    // A summary without its full per-run group is torn (a kill between the
+    // group and the summary, or a partial file) — recompute the point.
+    if (held.summary[p] == 0 || (per_run && !held.group_complete(p))) {
+      continue;
     }
     done_[p] = 1;
     ++done_count_;
   }
-  import_telemetry(std::move(telemetry_live));
-  return done_count_;
+  return report;
 }
 
-void Aggregator::import_telemetry(std::vector<std::uint8_t> telemetry_live) {
-  if (metrics_path_.empty()) return;
-  std::ifstream in(metrics_path_);
+void Aggregator::import_file(const std::string& path, RowStore::Kind kind,
+                             Held& held, ImportReport& report) {
+  std::ifstream in(path);
   if (!in) return;
-  // Lenient on purpose: the store and the CSV are what resume validates;
-  // a telemetry line only has to name an owned grid point still missing
-  // its row (first line per point wins).
+  std::size_t appended = 0;
+  const auto append = [&](std::size_t point, std::size_t rep,
+                          const std::vector<std::string>& cells) {
+    store_->append(kind, point, rep, cells);
+    // Bounded buffer: the import holds the bitmaps, not the rows.
+    if (++appended % kImportFlushRows == 0) store_->flush();
+  };
   std::string line;
-  bool appended = false;
+  if (kind == RowStore::Kind::kTelemetry) {
+    // Lenient on purpose: the CSVs are what the import validates; a
+    // telemetry line only has to name an owned grid point still missing
+    // its row (first line per point wins).
+    while (std::getline(in, line)) {
+      const std::size_t point = parse_point_row(line, total_points_);
+      if (point != SIZE_MAX && owns(point) && held.take(kind, point, 0)) {
+        append(point, 0, {line});
+      }
+    }
+    return;
+  }
+
+  const bool per_run = kind == RowStore::Kind::kPerRun;
+  const auto& header = per_run ? per_run_columns_ : columns_;
+  const std::size_t seed_cell = per_run ? 2 : 1;
+  std::size_t line_no = 0;
+  bool first = true;
   while (std::getline(in, line)) {
-    const std::size_t point = parse_point_row(line, total_points_);
-    if (point == SIZE_MAX || !owns(point) || telemetry_live[point] != 0) {
+    ++line_no;
+    if (line.empty()) continue;
+    const auto cells = split_csv_line(line);
+    if (first) {
+      first = false;
+      if (cells != header) throw header_mismatch(path);
       continue;
     }
-    telemetry_live[point] = 1;
-    store_->append(RowStore::Kind::kTelemetry, point, 0, {line});
-    appended = true;
+    const auto drop = [&](const std::string& why) {
+      if (report.dropped++ == 0) {
+        report.first_dropped =
+            path + " line " + std::to_string(line_no) + ": " + why;
+      }
+    };
+    std::size_t point = 0, rep = 0;
+    // A row truncated by a kill mid-write has the wrong cell count.
+    if (cells.size() != header.size() || !parse_index(cells[0], point) ||
+        (per_run && !parse_index(cells[1], rep))) {
+      drop("torn row");
+      continue;
+    }
+    const auto where = [&] {
+      return "point " + std::to_string(point) +
+             (per_run ? " replication " + std::to_string(rep) : std::string());
+    };
+    if (point >= total_points_ || (per_run && rep >= replications_)) {
+      drop(where() + " is outside the grid");
+      continue;
+    }
+    if (!owns(point)) {
+      throw std::runtime_error(
+          "Aggregator: row for point " + std::to_string(point) + " in " +
+          path +
+          " does not belong to this shard (wrong --shard/--out pairing?)");
+    }
+    if (!expected_identity_.empty()) {
+      // The seed cell holds the point seed (a run row's: plus its rep),
+      // the axis cells follow, and a summary's replications cell comes
+      // next — seeds do not depend on the replication count, hence the
+      // separate check. A mismatch means another manifest computed the
+      // row, and importing it would mix incompatible results.
+      const auto& want = expected_identity_[point];
+      std::size_t point_seed = 0;
+      bool matches = per_run ? parse_index(want.front(), point_seed) &&
+                                   cells[2] == std::to_string(point_seed + rep)
+                             : cells[1] == want.front();
+      for (std::size_t k = 1; matches && k < want.size(); ++k) {
+        matches = cells[seed_cell + k] == want[k];
+      }
+      if (matches && !per_run && replications_ > 0) {
+        matches = cells[seed_cell + want.size()] ==
+                  std::to_string(replications_);
+      }
+      if (!matches) {
+        throw std::runtime_error(
+            "Aggregator: row for point " + std::to_string(point) + " in " +
+            path +
+            " was computed with different parameters (manifest changed?)");
+      }
+    }
+    if (!held.take(kind, point, rep)) {
+      drop(where() + " appears twice");
+      continue;
+    }
+    append(point, rep, cells);
   }
-  if (appended) store_->flush();
 }
 
 void Aggregator::refuse_unexported(RowStore::Kind kind,
@@ -443,47 +442,9 @@ void Aggregator::refuse_unexported(RowStore::Kind kind,
     throw std::runtime_error(
         "Aggregator: " + source + " holds " +
         (kind == RowStore::Kind::kPerRun ? "per-run" : "telemetry") +
-        " rows that this campaign would not write; resume it with " + flag +
-        " (finishing without it would delete them with the store)");
+        " rows that this campaign would not write; pass " + flag +
+        " (finishing without it would drop them)");
   }
-}
-
-std::size_t Aggregator::seed_store_from_csv() {
-  // No store but a CSV exists (a finalized or bare artifact). Recover
-  // through the CSV readers — header, identity, shard, and torn-group
-  // checks — then import the surviving rows into a fresh store. The CSV
-  // stays on disk untouched; the next export replaces it.
-  auto rows = load_point_rows();
-  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
-      groups;
-  if (!per_run_path_.empty()) {
-    groups = load_per_run_rows();
-    // A point is only truly done when its per-run group is complete: a
-    // kill can land between the per-run rows and the summary row. Torn
-    // groups are dropped and the point recomputed (orphaned groups without
-    // a summary row are never imported).
-    for (auto it = rows.begin(); it != rows.end();) {
-      const auto group = groups.find(it->first);
-      const bool complete =
-          group != groups.end() && group->second.size() == replications_;
-      it = complete ? std::next(it) : rows.erase(it);
-    }
-  }
-
-  store_->open_append();
-  for (const auto& [point, cells] : rows) {
-    const auto group = groups.find(point);
-    if (group != groups.end()) {
-      for (const auto& [rep, rc] : group->second) {
-        store_->append(RowStore::Kind::kPerRun, point, rep, rc);
-      }
-    }
-    store_->append(RowStore::Kind::kSummary, point, 0, cells);
-    done_[point] = 1;
-    ++done_count_;
-  }
-  store_->flush();
-  return done_count_;
 }
 
 std::size_t Aggregator::load_existing() {
@@ -491,7 +452,57 @@ std::size_t Aggregator::load_existing() {
   if (loaded_) throw std::logic_error("Aggregator: load_existing called twice");
   loaded_ = true;
   // In-memory aggregation has nothing on disk to resume.
-  return store_path_.empty() ? 0 : load_store();
+  if (store_path_.empty()) return 0;
+  std::vector<std::pair<std::string, RowStore::Kind>> inputs;
+  if (!metrics_path_.empty()) {
+    inputs.emplace_back(metrics_path_, RowStore::Kind::kTelemetry);
+  }
+  std::error_code ec;
+  if (!std::filesystem::exists(store_path_, ec)) {
+    // A present store wins; without one, a finalized or bare artifact
+    // seeds a fresh store. The CSVs stay on disk untouched; the next
+    // export replaces them.
+    if (!per_run_path_.empty()) {
+      inputs.emplace_back(per_run_path_, RowStore::Kind::kPerRun);
+    }
+    inputs.emplace_back(csv_path_, RowStore::Kind::kSummary);
+  }
+  // Resume recomputes whatever the import dropped.
+  (void)load(std::move(inputs));
+  return done_count_;
+}
+
+Aggregator::ImportReport Aggregator::import_outputs(
+    const std::vector<std::string>& inputs) {
+  const std::lock_guard lock(mutex_);
+  if (loaded_) throw std::logic_error("Aggregator: campaign already loaded");
+  if (store_path_.empty()) {
+    throw std::logic_error("Aggregator: import requires a summary CSV path");
+  }
+  loaded_ = true;
+  std::vector<std::pair<std::string, RowStore::Kind>> typed;
+  for (const auto& path : inputs) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("Aggregator: cannot open " + path);
+    std::string line;
+    while (std::getline(in, line) && line.empty()) {
+    }
+    if (line.empty()) continue;  // an empty file holds no rows
+    RowStore::Kind kind = RowStore::Kind::kTelemetry;
+    if (parse_point_row(line, 0) == SIZE_MAX) {
+      const auto cells = split_csv_line(line);
+      if (cells == columns_) {
+        kind = RowStore::Kind::kSummary;
+      } else if (cells == per_run_columns_) {
+        kind = RowStore::Kind::kPerRun;
+      } else {
+        throw header_mismatch(path);
+      }
+    }
+    refuse_unexported(kind, path);
+    typed.emplace_back(path, kind);
+  }
+  return load(std::move(typed));
 }
 
 std::vector<std::size_t> Aggregator::absorb(
@@ -951,298 +962,6 @@ std::size_t absorb_part_stores(Aggregator& aggregator,
     std::filesystem::remove(part);
   }
   return absorbed;
-}
-
-// --- Shard merging ----------------------------------------------------------
-
-namespace {
-
-/// Appended to every coverage error: the streaming merge meets an
-/// unsorted input's rows out of order, which looks exactly like a gap.
-constexpr const char* kUnsortedHint =
-    " (or an input is not sorted; resuming that shard with --resume "
-    "re-exports it in order)";
-
-struct MergeExpectations {
-  std::vector<std::string> want_point_header;
-  std::vector<std::string> want_per_run_header;
-  std::vector<GridPoint> grid;
-};
-
-MergeExpectations merge_expectations(const Manifest* manifest) {
-  MergeExpectations e;
-  if (manifest != nullptr) {
-    manifest->validate();
-    const auto axes = axis_columns(*manifest);
-    e.want_point_header = {"point", "seed"};
-    e.want_point_header.insert(e.want_point_header.end(), axes.begin(),
-                               axes.end());
-    const auto metrics = Aggregator::metric_columns();
-    e.want_point_header.insert(e.want_point_header.end(), metrics.begin(),
-                               metrics.end());
-    e.want_per_run_header = {"point", "rep", "seed"};
-    e.want_per_run_header.insert(e.want_per_run_header.end(), axes.begin(),
-                                 axes.end());
-    const auto run_metrics = Aggregator::per_run_metric_columns();
-    e.want_per_run_header.insert(e.want_per_run_header.end(),
-                                 run_metrics.begin(), run_metrics.end());
-    e.grid = expand_grid(*manifest);
-  }
-  return e;
-}
-
-/// Validates one data row's manifest identity (seed/axis cells, summary
-/// replication count); mirrors the resume-path checks.
-void check_manifest_row(const std::vector<std::string>& cells,
-                        std::size_t point, std::size_t rep, bool per_run,
-                        const std::string& path, const Manifest& manifest,
-                        const std::vector<GridPoint>& grid) {
-  if (point >= grid.size()) {
-    throw std::runtime_error("merge_outputs: " + path + " has point " +
-                             std::to_string(point) +
-                             " beyond the manifest's grid");
-  }
-  if (per_run && rep >= manifest.replications) {
-    throw std::runtime_error("merge_outputs: " + path + " has replication " +
-                             std::to_string(rep) +
-                             " beyond the manifest's count");
-  }
-  const std::size_t seed_cell = per_run ? 2 : 1;
-  const std::uint64_t want_seed = grid[point].seed + (per_run ? rep : 0);
-  bool matches = cells[seed_cell] == std::to_string(want_seed);
-  for (std::size_t a = 0; matches && a < grid[point].values.size(); ++a) {
-    matches = cells[seed_cell + 1 + a] == grid[point].values[a];
-  }
-  // Point seeds do not depend on the replication count, so a summary
-  // row's "replications" cell (right after the axes) is the only
-  // evidence of a changed count; per-run rows are caught by the
-  // rectangularity check instead.
-  if (matches && !per_run) {
-    matches = cells[seed_cell + 1 + grid[point].values.size()] ==
-              std::to_string(manifest.replications);
-  }
-  if (!matches) {
-    throw std::runtime_error(
-        "merge_outputs: row for point " + std::to_string(point) + " in " +
-        path + " was computed with different parameters (manifest mismatch)");
-  }
-}
-
-}  // namespace
-
-/// Streaming merge: every input is read once through a k-way heap merge by
-/// (point, rep), holding one row per input — O(inputs) memory. Inputs must
-/// be internally sorted (finalized/compacted/exported outputs always are);
-/// an unsorted or self-duplicating input is rejected.
-std::size_t merge_outputs(const std::vector<std::string>& inputs,
-                          const std::string& out_path,
-                          const Manifest* manifest) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("merge_outputs: no input files");
-  }
-  const MergeExpectations expect = merge_expectations(manifest);
-
-  struct Input {
-    std::string path;
-    std::ifstream in;
-    std::string line;
-    std::size_t point = 0;
-    std::size_t rep = 0;
-    bool started = false;  // true once the first data row was read
-  };
-
-  std::string header_line;
-  std::vector<std::string> header;
-  bool per_run = false;
-
-  std::vector<std::unique_ptr<Input>> open_inputs;
-  for (const auto& path : inputs) {
-    auto input = std::make_unique<Input>();
-    input->path = path;
-    input->in.open(path);
-    if (!input->in) {
-      throw std::runtime_error("merge_outputs: cannot open " + path);
-    }
-    // Header line (skipping leading blanks).
-    std::string line;
-    bool have_header = false;
-    while (std::getline(input->in, line)) {
-      if (line.empty()) continue;
-      have_header = true;
-      break;
-    }
-    if (!have_header) continue;  // empty file contributes nothing
-    if (header.empty()) {
-      header_line = line;
-      header = split_csv_line(line);
-      per_run = header.size() > 1 && header[1] == "rep";
-      if (manifest != nullptr &&
-          header != (per_run ? expect.want_per_run_header
-                             : expect.want_point_header)) {
-        throw std::runtime_error("merge_outputs: header of " + path +
-                                 " does not match the manifest's output "
-                                 "columns");
-      }
-    } else if (split_csv_line(line) != header) {
-      throw std::runtime_error("merge_outputs: header of " + path +
-                               " does not match " + inputs.front() +
-                               " (shards of different campaigns?)");
-    }
-    open_inputs.push_back(std::move(input));
-  }
-  if (header.empty()) {
-    throw std::runtime_error("merge_outputs: inputs contain no header");
-  }
-
-  // Advances an input to its next valid data row: cell count, key and
-  // manifest identity checks, then strictly ascending (point, rep) within
-  // the input.
-  const auto advance = [&](Input& input) -> bool {
-    std::string line;
-    while (std::getline(input.in, line)) {
-      if (line.empty()) continue;
-      const auto cells = split_csv_line(line);
-      if (cells.size() != header.size()) {
-        throw std::runtime_error(
-            "merge_outputs: truncated row in " + input.path +
-            "; resume that shard to completion before merging");
-      }
-      std::size_t point = 0, rep = 0;
-      if (!parse_index(cells[0], point) ||
-          (per_run && !parse_index(cells[1], rep))) {
-        throw std::runtime_error("merge_outputs: unparsable row key in " +
-                                 input.path);
-      }
-      if (manifest != nullptr) {
-        check_manifest_row(cells, point, rep, per_run, input.path, *manifest,
-                           expect.grid);
-      }
-      if (input.started && std::make_pair(point, rep) <=
-                               std::make_pair(input.point, input.rep)) {
-        const std::string where =
-            "point " + std::to_string(point) +
-            (per_run ? " replication " + std::to_string(rep) : std::string());
-        if (point == input.point && rep == input.rep) {
-          throw std::runtime_error("merge_outputs: " + where +
-                                   " appears twice in " + input.path +
-                                   " (duplicate row)");
-        }
-        throw std::runtime_error(
-            "merge_outputs: " + input.path + " is not sorted (" +
-            where + " follows point " + std::to_string(input.point) +
-            "); resume that shard with --resume to re-export it in order");
-      }
-      input.started = true;
-      input.point = point;
-      input.rep = rep;
-      input.line = std::move(line);
-      return true;
-    }
-    return false;
-  };
-
-  const auto input_after = [](const Input* a, const Input* b) {
-    return std::make_pair(b->point, b->rep) < std::make_pair(a->point, a->rep);
-  };
-  std::priority_queue<Input*, std::vector<Input*>, decltype(input_after)> heap(
-      input_after);
-  for (auto& input : open_inputs) {
-    if (advance(*input)) heap.push(input.get());
-  }
-
-  const std::string tmp = out_path + ".tmp";
-  std::size_t merged = 0;
-  try {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("merge_outputs: cannot write " + tmp);
-    out << header_line << '\n';
-
-    // Walking the merged stream in key order makes every global check
-    // local: duplicates are consecutive equal keys, point gaps are jumps
-    // in the point sequence, and rectangularity is a per-point rep count.
-    std::size_t prev_point = SIZE_MAX, prev_rep = 0;
-    std::size_t cur_reps = 0;       // rows seen for the current point
-    std::size_t points_seen = 0;
-    std::size_t first_point_reps = 0;
-    const auto want_reps_known = manifest != nullptr;
-    const std::size_t manifest_reps =
-        manifest != nullptr ? (per_run ? manifest->replications : 1) : 0;
-    const auto check_point_complete = [&](std::size_t point) {
-      const std::size_t want =
-          want_reps_known ? manifest_reps
-                          : (points_seen == 1 ? cur_reps : first_point_reps);
-      if (points_seen == 1 && !want_reps_known) first_point_reps = cur_reps;
-      if (cur_reps != want) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) + " has " +
-            std::to_string(cur_reps) + " of " + std::to_string(want) +
-            " replication rows; a shard output is incomplete" + kUnsortedHint);
-      }
-    };
-
-    while (!heap.empty()) {
-      Input* input = heap.top();
-      heap.pop();
-      const std::size_t point = input->point, rep = input->rep;
-      if (prev_point != SIZE_MAX && point == prev_point && rep == prev_rep) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) +
-            (per_run ? " replication " + std::to_string(rep) : std::string()) +
-            " appears in multiple inputs (overlapping shards?)");
-      }
-      if (point != prev_point) {
-        if (prev_point != SIZE_MAX) check_point_complete(prev_point);
-        const std::size_t want_next = prev_point == SIZE_MAX ? 0
-                                                             : prev_point + 1;
-        if (point != want_next) {
-          throw std::runtime_error(
-              "merge_outputs: merged inputs cover " +
-              std::to_string(points_seen) + " points up to " +
-              std::to_string(prev_point == SIZE_MAX ? 0 : prev_point) +
-              " but point " + std::to_string(want_next) +
-              " is missing; a shard output is missing or incomplete" +
-              kUnsortedHint);
-        }
-        ++points_seen;
-        cur_reps = 0;
-      }
-      ++cur_reps;
-      // Sorted unique keys mean the rep sequence within a point must be
-      // 0,1,2,…; a jump is a missing replication row.
-      if (per_run && rep != cur_reps - 1) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) + " has " +
-            std::to_string(cur_reps) + " of " + std::to_string(rep + 1) +
-            " replication rows; a shard output is incomplete" +
-            kUnsortedHint);
-      }
-      prev_point = point;
-      prev_rep = rep;
-      out << input->line << '\n';
-      ++merged;
-      if (advance(*input)) heap.push(input);
-    }
-    if (prev_point != SIZE_MAX) check_point_complete(prev_point);
-
-    const std::size_t want_points =
-        manifest != nullptr ? manifest->point_count() : points_seen;
-    if (merged == 0 || points_seen != want_points || points_seen == 0) {
-      throw std::runtime_error(
-          "merge_outputs: merged inputs cover " +
-          std::to_string(points_seen) + " of " + std::to_string(want_points) +
-          " points; a shard output is missing or incomplete");
-    }
-    out.close();
-    if (!out) throw std::runtime_error("merge_outputs: cannot write " + tmp);
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    throw std::runtime_error("merge_outputs: cannot replace " + out_path);
-  }
-  return merged;
 }
 
 void render_jsonl(const std::string& point_csv, const std::string& jsonl_path) {

@@ -17,30 +17,35 @@
 // O(spill budget) and the artifact is byte-identical no matter how many
 // threads produced it or how many times the campaign was resumed. In flight
 // the store is the ground truth (the CSV only materializes at export);
-// finalize() deletes the store, and resuming from a bare CSV seeds a fresh
-// store through the CSV readers.
+// finalize() deletes the store.
+//
+// Finished output files come back into a store through one streaming
+// import: resuming from a bare or finalized CSV imports the campaign's own
+// files, and import_outputs() imports any shard outputs (pas-exp --merge).
+// The import checks each row's identity, holds only O(grid) bitmaps, and
+// the export sorts, so the inputs may list their rows in any order.
 //
 // Without a CSV path (benches, examples, unit tests) nothing is written:
 // the aggregator only tracks completion and keeps the point summaries.
 //
 // Sharding: a campaign may be split across processes/machines with
 // `owned_points` — each shard aggregates only its own subset of the grid
-// into its own files, and merge_outputs() recombines the finalized shard
-// files into the exact bytes an unsharded run would have written. The
-// orchestrator's workers record into their own row stores instead, which
-// the driver's aggregator absorb()s, so a drive finalizes through the same
-// export as a serial run.
+// into its own files, and a full-grid aggregator import_outputs() them and
+// finalizes into the exact bytes an unsharded run would have written
+// (merge_campaign, runner.hpp). The orchestrator's workers record into
+// their own row stores instead, which the driver's aggregator absorb()s,
+// so a drive finalizes through the same export as a serial run.
 //
 // The JSON-lines artifact is not written here: render_jsonl() derives it
 // from a finalized point CSV, whichever mode produced that CSV.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/manifest.hpp"
@@ -105,22 +110,50 @@ class Aggregator {
              std::size_t total_points,
              std::vector<std::vector<std::string>> expected_identity = {});
 
-  /// Loads completed rows from the existing output files (resume). Throws
-  /// std::runtime_error if a file exists but its header does not match
-  /// this campaign's columns, if a recovered row's seed/axis values
-  /// disagree with the expected identity, or if a row belongs to a point
-  /// outside this shard (all are manifest/output mismatches: resuming
-  /// would silently produce wrong data). A point whose per-run rows are
-  /// missing or torn is dropped and recomputed. When metrics_path names an
-  /// existing file, its point rows are imported for owned, in-grid points
-  /// that have no telemetry record yet; garbage, trailer, foreign and
-  /// out-of-grid lines are dropped silently (a finalized campaign, or one
-  /// written before telemetry rode the store). Also throws, before
-  /// touching the store, when the store holds per-run or telemetry records
-  /// that this aggregator has no per_run_path/metrics_path to export:
-  /// finalize() would delete them with the store. Returns the number of
-  /// points recovered. Call before the first record().
+  /// Loads completed rows (resume): scans the row store, or, when there is
+  /// none, imports the existing CSV and per-run files (a finalized or bare
+  /// artifact) into a fresh one; either way the metrics file's point rows
+  /// are imported for owned, in-grid points that have no telemetry record
+  /// yet (garbage, trailer, foreign and out-of-grid lines are skipped: a
+  /// finalized campaign, or one written before telemetry rode the store).
+  /// Throws std::runtime_error if a CSV's header does not match this
+  /// campaign's columns, if a row's seed/axis values disagree with the
+  /// expected identity, or if a row belongs to a point outside this shard
+  /// (all are manifest/output mismatches: resuming would silently produce
+  /// wrong data). Torn, duplicate and out-of-grid rows are dropped, and a
+  /// point without its summary or its full per-run group is recomputed.
+  /// Also throws, before touching the store, when the store holds per-run
+  /// or telemetry records that this aggregator has no
+  /// per_run_path/metrics_path to export: finalize() would delete them
+  /// with the store. Returns the number of points recovered. Call before
+  /// the first record().
   std::size_t load_existing();
+
+  /// What import_outputs() left out of the store.
+  struct ImportReport {
+    /// Rows dropped: torn (wrong cell count, unparsable key), a key the
+    /// store already holds, or a point or replication outside the grid.
+    /// Telemetry lines are read leniently and never counted.
+    std::size_t dropped = 0;
+    /// Where and why the first dropped row was left out
+    /// ("<path> line 4: point 3 appears twice"); empty if none was.
+    std::string first_dropped;
+  };
+
+  /// Fills the row store from finished output files instead of computing
+  /// them (pas-exp --merge), through load_existing()'s import. Each input
+  /// is sorted by its first line: this campaign's columns() header marks a
+  /// point CSV, its per_run_columns() header a per-run CSV, and a JSON
+  /// point row a telemetry file; an empty input holds nothing. Rows get
+  /// load_existing()'s checks and throws, and the store's commit order
+  /// holds (per-run rows, then telemetry, then summaries), so a killed
+  /// import leaves a store that a resume finishes. Also throws
+  /// std::runtime_error, before touching the store, if an input cannot be
+  /// opened, its first line is none of the three, or it holds per-run or
+  /// telemetry rows this aggregator would not export. A store it created
+  /// is deleted when it throws. Call instead of load_existing(); then
+  /// pending() names the points the inputs did not complete.
+  ImportReport import_outputs(const std::vector<std::string>& inputs);
 
   /// Copies every complete point batch of another row store written under
   /// this campaign's identity (an orchestrator worker's part) into this
@@ -195,28 +228,20 @@ class Aggregator {
   [[nodiscard]] bool owns(std::size_t point) const {
     return point < total_points_ && (owned_.empty() || owned_[point] != 0);
   }
-  /// Shared resume-file reader: header validation, torn-row dropping,
-  /// bounds and shard-ownership checks; `on_row` receives each surviving
-  /// row's (point, rep, cells) — rep is 0 when key_arity is 1.
-  void load_rows_file(
-      const std::string& path, const std::vector<std::string>& want_header,
-      const char* flag_hint, std::size_t key_arity,
-      const std::function<void(std::size_t, std::size_t,
-                               std::vector<std::string>)>& on_row);
-  /// point → summary row cells.
-  std::map<std::size_t, std::vector<std::string>> load_point_rows();
-  /// point → replication → per-run row cells.
-  std::map<std::size_t, std::map<std::size_t, std::vector<std::string>>>
-  load_per_run_rows();
   /// Creates/opens the store lazily. Caller must hold mutex_.
   void ensure_store();
-  /// load_existing: scans the store into the done bitmap, or seeds a fresh
-  /// store from an existing CSV (a finalized or bare artifact).
-  std::size_t load_store();
-  std::size_t seed_store_from_csv();
-  /// load_store: appends the metrics file's rows for points whose entry in
-  /// `telemetry_live` is 0.
-  void import_telemetry(std::vector<std::uint8_t> telemetry_live);
+  /// Per-key presence bitmaps of the store being loaded (aggregate.cpp).
+  struct Held;
+  /// load_existing/import_outputs: scans an existing store, then streams
+  /// each (file, kind of rows it holds) input into it in the store's
+  /// commit order, and marks the points whose summary and full per-run
+  /// group are held done. Caller must hold mutex_.
+  ImportReport load(
+      std::vector<std::pair<std::string, RowStore::Kind>> inputs);
+  /// load: appends one file's new rows to the store; a missing file holds
+  /// none.
+  void import_file(const std::string& path, RowStore::Kind kind, Held& held,
+                   ImportReport& report);
   /// Throws when `source` holds a record of `kind` that the export would
   /// drop (per-run rows without per_run_path, telemetry without
   /// metrics_path).
@@ -279,26 +304,6 @@ void refuse_existing_outputs(const std::string& csv_path,
 /// a killed drive finishes under any topology.
 std::size_t absorb_part_stores(Aggregator& aggregator,
                                const std::string& csv_path);
-
-/// Recombines finalized shard outputs into `out_path`, byte-identical to
-/// the file an unsharded run would have produced. All inputs must carry an
-/// identical header and list their rows in ascending (point, rep) order, as
-/// finalize() and compact() (--export) write them; an unsorted input is
-/// rejected (resuming its campaign re-exports it sorted). Every
-/// (point, rep) may appear in exactly one input, and the merged point set
-/// must be gap-free from 0. Works for both the
-/// point-summary CSV and the per-run CSV (recognized by its "rep" column).
-///
-/// When `manifest` is non-null the merge additionally validates the inputs
-/// against it: the header must match the manifest's output columns, every
-/// row's seed/axis cells must match the expanded grid, and the merged file
-/// must cover the full grid — so shards of *different* manifests (or stale
-/// outputs) are rejected instead of silently combined.
-///
-/// Returns the number of merged data rows.
-std::size_t merge_outputs(const std::vector<std::string>& inputs,
-                          const std::string& out_path,
-                          const Manifest* manifest = nullptr);
 
 /// Renders a finalized point CSV as JSON lines: one object per data row,
 /// keys in column order; a cell that parses whole as a finite number is

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <mutex>
@@ -159,6 +160,48 @@ AggregatorOptions campaign_aggregator_options(
   // per-point identity cells.
   options.expected_identity = grid_identity(points);
   return options;
+}
+
+std::size_t merge_campaign(const Manifest& manifest,
+                           const std::vector<std::string>& inputs,
+                           std::string out_csv, std::string per_run_csv,
+                           std::string metrics_path) {
+  const std::string store = RowStore::path_for(out_csv);
+  std::error_code ec;
+  if (std::filesystem::exists(store, ec)) {
+    throw std::runtime_error(
+        store + " exists: it belongs to an in-flight campaign; finish it "
+                "with --resume or remove it before merging into " +
+        out_csv);
+  }
+  const auto points = expand_grid(manifest);
+  try {
+    Aggregator aggregator(campaign_aggregator_options(
+        manifest, points, std::move(out_csv), std::move(per_run_csv),
+        std::move(metrics_path)));
+    const auto report = aggregator.import_outputs(inputs);
+    if (report.dropped != 0) {
+      throw std::runtime_error(
+          "merge: " + report.first_dropped + " (" +
+          std::to_string(report.dropped) +
+          " input rows left out: overlapping shards, a torn row or another "
+          "grid?)");
+    }
+    const auto pending = aggregator.pending();
+    if (!pending.empty()) {
+      throw std::runtime_error(
+          "merge: point " + std::to_string(pending.front()) +
+          " is incomplete in the inputs (" + std::to_string(pending.size()) +
+          " points are); a shard output is missing or unfinished");
+    }
+    aggregator.finalize();
+    return aggregator.done_count();
+  } catch (...) {
+    // The store is this merge's own (it did not exist above): its rows
+    // are all in the inputs still.
+    std::filesystem::remove(store, ec);
+    throw;
+  }
 }
 
 CampaignReport run_campaign(const Manifest& manifest,

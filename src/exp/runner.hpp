@@ -10,8 +10,9 @@
 // Two scale-out directions compose with that guarantee:
 //  * Process-level sharding (`shard_index`/`shard_count`): each process
 //    owns the points with index ≡ shard_index (mod shard_count), writes an
-//    independently resumable output, and merge_outputs() (aggregate.hpp)
-//    recombines the shard files into the unsharded bytes.
+//    independently resumable output, and merge_campaign() imports the
+//    shard files into a full-grid campaign that finalizes into the
+//    unsharded bytes.
 //  * Replication-level parallelism (`rep_chunk`): a point's replications
 //    are split into contiguous sub-jobs that run concurrently on the pool
 //    and meet in an order-independent reduction (world::reduce_runs), so a
@@ -102,6 +103,25 @@ struct CampaignReport {
 [[nodiscard]] AggregatorOptions campaign_aggregator_options(
     const Manifest& manifest, const std::vector<GridPoint>& points,
     std::string out_csv, std::string per_run_csv, std::string metrics_path);
+
+/// Recombines finished shard outputs (pas-exp --merge): a full-grid
+/// campaign of `manifest` whose row store is filled from `inputs` — point
+/// CSVs, per-run CSVs and telemetry files in any order and any row order
+/// (Aggregator::import_outputs) — instead of computed, then finalized
+/// through the serial export, so `out_csv`, `per_run_csv` and
+/// `metrics_path` get the bytes of an unsharded run (the telemetry file
+/// without a trailer). Existing artifacts are overwritten. Throws
+/// std::runtime_error when `out_csv`'s row store exists (an in-flight
+/// campaign's; left unchanged), when an input is refused, when the import
+/// dropped a row (naming the first: a torn row, an overlap, a row outside
+/// the grid), or when a point is incomplete (naming the first: a missing
+/// or unfinished shard). A refused merge leaves no artifact, temp file or
+/// row store behind; a killed one leaves a store that a resume finishes.
+/// Returns the number of merged points.
+std::size_t merge_campaign(const Manifest& manifest,
+                           const std::vector<std::string>& inputs,
+                           std::string out_csv, std::string per_run_csv,
+                           std::string metrics_path);
 
 /// Executes the campaign (or this process's shard of it). Throws on
 /// manifest/IO errors; a failing point's exception propagates after

@@ -1,9 +1,6 @@
 #include "exp/telemetry.hpp"
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -128,42 +125,6 @@ std::size_t parse_point_row(const std::string& line,
   } catch (const std::runtime_error&) {
     return SIZE_MAX;
   }
-}
-
-std::size_t merge_telemetry(const std::vector<std::string>& inputs,
-                            const std::string& out_path,
-                            const std::vector<io::Json>& trailers) {
-  std::map<std::size_t, std::string> rows;
-  for (const auto& input : inputs) {
-    std::ifstream in(input);
-    if (!in) {
-      throw std::runtime_error("merge_telemetry: cannot open " + input);
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t point = parse_point_row(line, 0);
-      if (point == SIZE_MAX) continue;
-      rows.emplace(point, line);  // first input wins, like the CSV merge
-    }
-  }
-  const std::string tmp = out_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("merge_telemetry: cannot write " + tmp);
-    }
-    for (const auto& entry : rows) out << entry.second << '\n';
-    for (const auto& trailer : trailers) out << trailer.dump() << '\n';
-    out.close();
-    if (!out) {
-      // A short write (ENOSPC) must not replace the output.
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      throw std::runtime_error("merge_telemetry: cannot write " + tmp);
-    }
-  }
-  std::filesystem::rename(tmp, out_path);
-  return rows.size();
 }
 
 }  // namespace pas::exp

@@ -39,13 +39,4 @@ namespace pas::exp {
 [[nodiscard]] std::size_t parse_point_row(const std::string& line,
                                           std::size_t total_points);
 
-/// Recombines finalized telemetry shard files (pas-exp --merge --metrics)
-/// into `out_path`: point rows deduplicated (first input wins), sorted by
-/// point, `trailers` appended. Throws std::runtime_error when an input
-/// cannot be opened or the output cannot be written in full (the output is
-/// then left as it was). Returns the number of merged point rows.
-std::size_t merge_telemetry(const std::vector<std::string>& inputs,
-                            const std::string& out_path,
-                            const std::vector<io::Json>& trailers = {});
-
 }  // namespace pas::exp

@@ -13,10 +13,11 @@ Network::Network(sim::Simulator& simulator, std::vector<geom::Vec2> positions,
                  RadioConfig config, std::shared_ptr<Channel> channel,
                  const sim::SeedSequence& seeds)
     : simulator_(simulator) {
-  reset(std::move(positions), config, std::move(channel), seeds);
+  reset(positions, config, std::move(channel), seeds);
 }
 
-void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
+void Network::reset(const std::vector<geom::Vec2>& positions,
+                    RadioConfig config,
                     std::shared_ptr<Channel> channel,
                     const sim::SeedSequence& seeds) {
   if (positions.empty()) {
@@ -28,7 +29,8 @@ void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
   if (!channel) {
     throw std::invalid_argument("Network: channel must not be null");
   }
-  positions_ = std::move(positions);
+  // assign, not a copy: a kept-warm network reuses its capacity.
+  positions_.assign(positions.begin(), positions.end());
   config_ = config;
   channel_ = std::move(channel);
   jitter_rng_ = seeds.stream(sim::SeedSequence::kMacJitter);

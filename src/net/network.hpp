@@ -53,7 +53,7 @@ class Network {
   /// while reusing neighbor-list, handler and RNG storage — the
   /// world::Workspace path between replications. Equivalent to constructing
   /// a fresh Network with the same arguments (the bound simulator stays).
-  void reset(std::vector<geom::Vec2> positions, RadioConfig config,
+  void reset(const std::vector<geom::Vec2>& positions, RadioConfig config,
              std::shared_ptr<Channel> channel, const sim::SeedSequence& seeds);
 
   [[nodiscard]] std::size_t size() const noexcept { return positions_.size(); }

@@ -1,5 +1,5 @@
 // Process-level sharding: deterministic grid partitioning, independently
-// resumable shard outputs, and merge_outputs() recombination that is
+// resumable shard outputs, and merge_campaign() recombination that is
 // byte-identical to an unsharded run.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,6 +13,7 @@
 
 #include "exp/aggregate.hpp"
 #include "exp/runner.hpp"
+#include "exp/telemetry.hpp"
 #include "world/paper_setup.hpp"
 
 namespace pas::exp {
@@ -71,32 +72,68 @@ class ShardTest : public ::testing::Test {
     for (const auto& row : rows) out << row << '\n';
   }
 
+  /// Merges `inputs` (file names in dir_) as a campaign of `m` into
+  /// merged.csv, plus merged_runs.csv / merged.jsonl when asked.
+  std::size_t merge(const Manifest& m, const std::vector<std::string>& inputs,
+                    bool per_run = false, bool metrics = false) const {
+    std::vector<std::string> paths;
+    for (const auto& input : inputs) paths.push_back(path(input.c_str()));
+    return merge_campaign(m, paths, path("merged.csv"),
+                          per_run ? path("merged_runs.csv") : std::string(),
+                          metrics ? path("merged.jsonl") : std::string());
+  }
+
   /// The std::runtime_error message a merge raises; fails the test if it
-  /// succeeds or throws anything else.
-  static std::string merge_error(const std::vector<std::string>& inputs,
-                                 const std::string& out) {
+  /// succeeds or throws anything else, or if the refused merge left an
+  /// artifact, a temp file or a row store behind.
+  std::string merge_error(const std::vector<std::string>& inputs,
+                          const Manifest& m = small_manifest(),
+                          bool per_run = false) const {
+    std::string error;
     try {
-      (void)merge_outputs(inputs, out);
+      (void)merge(m, inputs, per_run);
+      ADD_FAILURE() << "merge_campaign accepted the inputs";
     } catch (const std::runtime_error& e) {
-      return e.what();
+      error = e.what();
     }
-    ADD_FAILURE() << "merge_outputs accepted the inputs";
-    return {};
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      EXPECT_NE(entry.path().filename().string().rfind("merged", 0), 0U)
+          << entry.path() << " left behind by: " << error;
+    }
+    return error;
   }
 
   /// Runs one shard of the manifest; returns the report.
   CampaignReport run_shard(const Manifest& m, std::size_t index,
                            std::size_t count, const std::string& out,
                            const std::string& per_run = {},
-                           bool resume = false) {
+                           bool resume = false,
+                           const std::string& metrics = {}) {
     CampaignOptions options;
     options.jobs = 2;
     options.shard_index = index;
     options.shard_count = count;
     options.out_csv = out;
     options.per_run_csv = per_run;
+    options.metrics_path = metrics;
     options.resume = resume;
     return run_campaign(m, options);
+  }
+
+  /// The unsharded reference: full.csv, full_runs.csv and `metrics`.
+  void run_full(const Manifest& m, const std::string& metrics = {}) {
+    CampaignOptions full;
+    full.jobs = 1;
+    full.out_csv = path("full.csv");
+    full.per_run_csv = path("full_runs.csv");
+    full.metrics_path = metrics;
+    run_campaign(m, full);
+  }
+
+  /// Two shards with per-run files: s0.csv, s0_runs.csv, s1.csv, ...
+  void run_two_shards(const Manifest& m) {
+    run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"));
+    run_shard(m, 1, 2, path("s1.csv"), path("s1_runs.csv"));
   }
 
   fs::path dir_;
@@ -125,28 +162,21 @@ TEST_F(ShardTest, ShardsPartitionTheGridByIndexModulo) {
 
 TEST_F(ShardTest, MergedShardsAreByteIdenticalToUnshardedRun) {
   const Manifest m = small_manifest();
-  CampaignOptions full;
-  full.jobs = 1;
-  full.out_csv = path("full.csv");
-  full.per_run_csv = path("full_runs.csv");
-  run_campaign(m, full);
-
+  run_full(m);
   run_shard(m, 0, 3, path("s0.csv"), path("s0_runs.csv"));
   run_shard(m, 1, 3, path("s1.csv"), path("s1_runs.csv"));
   run_shard(m, 2, 3, path("s2.csv"), path("s2_runs.csv"));
 
-  const auto rows = merge_outputs(
-      {path("s0.csv"), path("s1.csv"), path("s2.csv")}, path("merged.csv"),
-      &m);
-  EXPECT_EQ(rows, 6U);
+  // One invocation takes the point and per-run files in any order (each
+  // is recognized by its header).
+  EXPECT_EQ(merge(m,
+                  {"s2_runs.csv", "s0.csv", "s1_runs.csv", "s1.csv", "s2.csv",
+                   "s0_runs.csv"},
+                  /*per_run=*/true),
+            6U);
   EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
-
-  // The per-run CSVs merge the same way (layout detected via the header).
-  const auto run_rows = merge_outputs(
-      {path("s0_runs.csv"), path("s1_runs.csv"), path("s2_runs.csv")},
-      path("merged_runs.csv"), &m);
-  EXPECT_EQ(run_rows, 12U);  // 6 points x 2 replications
   EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
+  EXPECT_FALSE(fs::exists(path("merged.csv.pasrows")));
 }
 
 TEST_F(ShardTest, TruncatedShardResumesToIdenticalBytes) {
@@ -191,20 +221,25 @@ TEST_F(ShardTest, ResumeRejectsRowsFromAnotherShard) {
 TEST_F(ShardTest, MergeRejectsOverlappingShards) {
   const Manifest m = small_manifest();
   run_shard(m, 0, 2, path("s0.csv"));
-  EXPECT_THROW(
-      (void)merge_outputs({path("s0.csv"), path("s0.csv")}, path("out.csv")),
-      std::runtime_error);
+  run_shard(m, 1, 2, path("s1.csv"));
+  const auto error = merge_error({"s0.csv", "s1.csv", "s0.csv"});
+  EXPECT_NE(error.find("point 0 appears twice"), std::string::npos) << error;
 }
 
 TEST_F(ShardTest, MergeRejectsMissingShard) {
   const Manifest m = small_manifest();
   run_shard(m, 0, 2, path("s0.csv"));
-  // Without the odd-point shard there are gaps; with or without a manifest
-  // the merge must refuse to write a partial "full" output.
-  EXPECT_THROW((void)merge_outputs({path("s0.csv")}, path("out.csv")),
-               std::runtime_error);
-  EXPECT_THROW((void)merge_outputs({path("s0.csv")}, path("out.csv"), &m),
-               std::runtime_error);
+  // Without the odd-point shard there are gaps; the merge must refuse to
+  // write a partial "full" output, naming the first missing point.
+  const auto error = merge_error({"s0.csv"});
+  EXPECT_NE(error.find("point 1 is incomplete"), std::string::npos) << error;
+  // A per-run merge without the per-run files completes no point.
+  run_shard(m, 1, 2, path("s1.csv"));
+  const auto runs = merge_error({"s0.csv", "s1.csv"}, m, /*per_run=*/true);
+  EXPECT_NE(runs.find("point 0 is incomplete"), std::string::npos) << runs;
+  const auto missing = merge_error({"s0.csv", "s1.csv", "s2.csv"});
+  EXPECT_NE(missing.find("cannot open " + path("s2.csv")), std::string::npos)
+      << missing;
 }
 
 TEST_F(ShardTest, MergeRejectsTruncatedRow) {
@@ -215,52 +250,42 @@ TEST_F(ShardTest, MergeRejectsTruncatedRow) {
     std::ofstream out(path("s1.csv"), std::ios::app);
     out << "5,12345,PAS";  // torn mid-write
   }
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv")),
-               std::runtime_error);
+  const auto error = merge_error({"s0.csv", "s1.csv"});
+  EXPECT_NE(error.find(path("s1.csv") + " line 5: torn row"),
+            std::string::npos)
+      << error;
 }
 
-// An unsorted input shows up in the merged stream as a gap or a short
-// replication group before its own order check runs, so those errors name
-// the unsorted case and its recovery too.
-TEST_F(ShardTest, MergeRejectsReversedShard) {
+// The export sorts, so a shard's row order does not matter: a reversed or
+// hand-shuffled shard merges to the unsharded bytes.
+TEST_F(ShardTest, ReorderedShardsMergeToTheUnshardedBytes) {
   const Manifest m = small_manifest();
-  run_shard(m, 0, 2, path("s0.csv"));
-  run_shard(m, 1, 2, path("s1.csv"));
-  edit_rows(path("s0.csv"), [](std::vector<std::string>& rows) {
-    std::reverse(rows.begin(), rows.end());
-  });
-  const auto error = merge_error({path("s0.csv"), path("s1.csv")},
-                                 path("out.csv"));
-  EXPECT_NE(error.find("not sorted"), std::string::npos) << error;
-  EXPECT_NE(error.find("--resume"), std::string::npos) << error;
-  EXPECT_FALSE(fs::exists(path("out.csv")));
-}
-
-TEST_F(ShardTest, MergeRejectsSwappedPointRows) {
-  const Manifest m = small_manifest();
-  run_shard(m, 0, 2, path("s0.csv"));
-  run_shard(m, 1, 2, path("s1.csv"));
-  edit_rows(path("s1.csv"), [](std::vector<std::string>& rows) {
-    std::swap(rows[1], rows[2]);  // points 3 and 5
-  });
-  const auto error = merge_error({path("s0.csv"), path("s1.csv")},
-                                 path("out.csv"));
-  EXPECT_NE(error.find("not sorted"), std::string::npos) << error;
-  EXPECT_NE(error.find("--resume"), std::string::npos) << error;
-}
-
-TEST_F(ShardTest, MergeRejectsSwappedReplications) {
-  const Manifest m = small_manifest();
-  run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"));
-  run_shard(m, 1, 2, path("s1.csv"), path("s1_runs.csv"));
-  edit_rows(path("s0_runs.csv"), [](std::vector<std::string>& rows) {
-    std::swap(rows[0], rows[1]);  // point 0, replications 0 and 1
-  });
-  const auto error = merge_error({path("s0_runs.csv"), path("s1_runs.csv")},
-                                 path("out_runs.csv"));
-  EXPECT_NE(error.find("not sorted"), std::string::npos) << error;
-  EXPECT_NE(error.find("--resume"), std::string::npos) << error;
+  run_full(m);
+  run_two_shards(m);
+  const struct {
+    const char* name;
+    const char* file;
+    std::function<void(std::vector<std::string>&)> edit;
+  } cases[] = {
+      {"reversed shard", "s0.csv",
+       [](auto& rows) { std::reverse(rows.begin(), rows.end()); }},
+      {"swapped point rows", "s1.csv",
+       [](auto& rows) { std::swap(rows[1], rows[2]); }},  // points 3 and 5
+      {"swapped replications", "s0_runs.csv",
+       [](auto& rows) { std::swap(rows[0], rows[1]); }},  // point 0
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string original = slurp(path(c.file));
+    edit_rows(path(c.file), c.edit);
+    ASSERT_NE(slurp(path(c.file)), original);
+    EXPECT_EQ(merge(m, {"s0.csv", "s0_runs.csv", "s1.csv", "s1_runs.csv"},
+                    /*per_run=*/true),
+              6U);
+    EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+    EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
+    std::ofstream(path(c.file), std::ios::trunc) << original;
+  }
 }
 
 TEST_F(ShardTest, MergeReportsDuplicateRowWithinOneInput) {
@@ -270,25 +295,19 @@ TEST_F(ShardTest, MergeReportsDuplicateRowWithinOneInput) {
   edit_rows(path("s1.csv"), [](std::vector<std::string>& rows) {
     rows.insert(rows.begin() + 1, rows[1]);  // point 3 twice
   });
-  const auto error = merge_error({path("s0.csv"), path("s1.csv")},
-                                 path("out.csv"));
-  EXPECT_NE(error.find("point 3 appears twice in " + path("s1.csv")),
+  const auto error = merge_error({"s0.csv", "s1.csv"});
+  EXPECT_NE(error.find(path("s1.csv") + " line 4: point 3 appears twice"),
             std::string::npos)
       << error;
-  EXPECT_EQ(error.find("overlapping"), std::string::npos) << error;
 }
 
 TEST_F(ShardTest, ResumeReExportsUnsortedShardSorted) {
   const Manifest m = small_manifest();
-  CampaignOptions full;
-  full.jobs = 1;
-  full.out_csv = path("full.csv");
-  full.per_run_csv = path("full_runs.csv");
-  run_campaign(m, full);
-  run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"));
-  run_shard(m, 1, 2, path("s1.csv"), path("s1_runs.csv"));
+  run_two_shards(m);
   // A bare, complete but unsorted shard (no row store beside it).
+  std::vector<std::string> sorted;
   for (const char* name : {"s0.csv", "s0_runs.csv"}) {
+    sorted.push_back(slurp(path(name)));
     edit_rows(path(name), [](std::vector<std::string>& rows) {
       std::reverse(rows.begin(), rows.end());
     });
@@ -297,11 +316,8 @@ TEST_F(ShardTest, ResumeReExportsUnsortedShardSorted) {
                                 /*resume=*/true);
   EXPECT_EQ(report.computed, 0U);
   EXPECT_EQ(report.skipped, 3U);
-  merge_outputs({path("s0.csv"), path("s1.csv")}, path("merged.csv"), &m);
-  merge_outputs({path("s0_runs.csv"), path("s1_runs.csv")},
-                path("merged_runs.csv"), &m);
-  EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
-  EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
+  EXPECT_EQ(slurp(path("s0.csv")), sorted[0]);
+  EXPECT_EQ(slurp(path("s0_runs.csv")), sorted[1]);
 }
 
 TEST_F(ShardTest, MergeRejectsMismatchedHeaders) {
@@ -311,9 +327,18 @@ TEST_F(ShardTest, MergeRejectsMismatchedHeaders) {
     std::ofstream b(path("b.csv"));
     b << "point,seed,max_sleep_s,replications\n1,2,5,2\n";
   }
-  EXPECT_THROW(
-      (void)merge_outputs({path("a.csv"), path("b.csv")}, path("out.csv")),
-      std::runtime_error);
+  const auto error = merge_error({"a.csv", "b.csv"});
+  EXPECT_NE(error.find("header of " + path("a.csv")), std::string::npos)
+      << error;
+}
+
+TEST_F(ShardTest, MergeRefusesRowsItWouldNotWrite) {
+  const Manifest m = small_manifest();
+  run_two_shards(m);
+  // Without --per-run the per-run files' rows would be lost.
+  const auto error =
+      merge_error({"s0.csv", "s0_runs.csv", "s1.csv", "s1_runs.csv"});
+  EXPECT_NE(error.find("--per-run"), std::string::npos) << error;
 }
 
 TEST_F(ShardTest, MergeRejectsShardsOfADifferentManifest) {
@@ -322,16 +347,109 @@ TEST_F(ShardTest, MergeRejectsShardsOfADifferentManifest) {
   run_shard(m, 1, 2, path("s1.csv"));
   Manifest other = m;
   other.seed_base = 99;  // same columns, different seeds per point
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv"), &other),
-               std::runtime_error);
+  const auto error = merge_error({"s0.csv", "s1.csv"}, other);
+  EXPECT_NE(error.find("different parameters"), std::string::npos) << error;
   // Seeds are independent of the replication count, so this mismatch is
   // only visible in the rows' replications cell — it must still be caught.
   Manifest recount = m;
   recount.replications = 5;
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv"), &recount),
-               std::runtime_error);
+  const auto reps = merge_error({"s0.csv", "s1.csv"}, recount);
+  EXPECT_NE(reps.find("different parameters"), std::string::npos) << reps;
+}
+
+// One invocation writes every artifact; the telemetry files' point rows are
+// imported like the CSVs' rows, and their registry trailers are skipped.
+TEST_F(ShardTest, MergeWritesEveryArtifactInOneInvocation) {
+  const Manifest m = small_manifest();
+  run_full(m, path("full.jsonl"));
+  run_shard(m, 0, 2, path("s0.csv"), path("s0_runs.csv"), false,
+            path("s0.jsonl"));
+  run_shard(m, 1, 2, path("s1.csv"), path("s1_runs.csv"), false,
+            path("s1.jsonl"));
+  const std::vector<std::string> inputs = {"s1.jsonl", "s0.csv",
+                                           "s1_runs.csv", "s0.jsonl",
+                                           "s1.csv", "s0_runs.csv"};
+  // Existing artifacts are overwritten.
+  for (const char* name : {"merged.csv", "merged_runs.csv", "merged.jsonl"}) {
+    std::ofstream(path(name)) << "stale\n";
+  }
+  EXPECT_EQ(merge(m, inputs, /*per_run=*/true, /*metrics=*/true), 6U);
+  EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+  EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
+  const auto point_rows = [](const std::string& file) {
+    std::vector<std::string> rows;
+    std::ifstream in(file);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (parse_point_row(line, 0) != SIZE_MAX) rows.push_back(line);
+    }
+    return rows;
+  };
+  const auto serial = point_rows(path("full.jsonl"));
+  EXPECT_EQ(serial.size(), 6U);
+  EXPECT_EQ(point_rows(path("merged.jsonl")), serial);
+  // Point rows only: a merge writes no trailer.
+  const std::string merged = slurp(path("merged.jsonl"));
+  EXPECT_EQ(std::count(merged.begin(), merged.end(), '\n'), 6);
+
+  // A failed write (ENOSPC: the temp file links to /dev/full) throws and
+  // leaves the earlier merge's outputs, no temp file and no row store.
+  if (fs::exists("/dev/full")) {
+    const std::string before = slurp(path("merged.jsonl"));
+    fs::create_symlink("/dev/full", path("merged.jsonl.tmp"));
+    EXPECT_THROW(merge(m, inputs, true, true), std::runtime_error);
+    EXPECT_FALSE(fs::exists(fs::symlink_status(path("merged.jsonl.tmp"))));
+    EXPECT_FALSE(fs::exists(path("merged.csv.pasrows")));
+    EXPECT_EQ(slurp(path("merged.jsonl")), before);
+    EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+  }
+}
+
+// A store at --out belongs to an in-flight campaign: a merge must neither
+// replace nor extend it.
+TEST_F(ShardTest, MergeRefusesAnInFlightStore) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"));
+  run_shard(m, 1, 2, path("s1.csv"));
+  std::ofstream(path("merged.csv.pasrows")) << "an interrupted campaign";
+  const std::string store = slurp(path("merged.csv.pasrows"));
+  try {
+    (void)merge(m, {"s0.csv", "s1.csv"});
+    ADD_FAILURE() << "merge_campaign merged into an in-flight store";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("in-flight"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(slurp(path("merged.csv.pasrows")), store);
+  EXPECT_FALSE(fs::exists(path("merged.csv")));
+}
+
+// A merge killed mid-import leaves a torn store whose complete points a
+// resume keeps; it computes the rest and reaches the unsharded bytes.
+TEST_F(ShardTest, KilledMergeResumesToTheUnshardedBytes) {
+  const Manifest m = small_manifest();
+  run_full(m);
+  run_two_shards(m);
+  {
+    Aggregator aggregator(campaign_aggregator_options(
+        m, expand_grid(m), path("merged.csv"), path("merged_runs.csv"), {}));
+    const auto report = aggregator.import_outputs(
+        {path("s0.csv"), path("s0_runs.csv"), path("s1.csv"),
+         path("s1_runs.csv")});
+    EXPECT_EQ(report.dropped, 0U);
+  }  // killed before the export...
+  const std::string store = path("merged.csv.pasrows");
+  fs::resize_file(store, fs::file_size(store) * 2 / 3);  // ...mid-write
+  CampaignOptions options;
+  options.jobs = 1;
+  options.out_csv = path("merged.csv");
+  options.per_run_csv = path("merged_runs.csv");
+  options.resume = true;
+  const auto report = run_campaign(m, options);
+  EXPECT_GT(report.skipped, 0U);
+  EXPECT_GT(report.computed, 0U);
+  EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+  EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
 }
 
 TEST_F(ShardTest, RunCampaignValidatesShardSpec) {

@@ -200,61 +200,6 @@ TEST_F(TelemetryTest, ResumeImportDropsGarbageAndForeignRows) {
   EXPECT_EQ(lines_of(metrics), std::vector<std::string>{good});
 }
 
-TEST_F(TelemetryTest, MergeDeduplicatesFirstInputWins) {
-  const Manifest m = small_manifest();
-  const auto points = expand_grid(m);
-  const auto names = axis_columns(m);
-  const std::string a = (dir_ / "m.w0").string();
-  const std::string b = (dir_ / "m.w1").string();
-  {
-    std::ofstream out(a);
-    out << telemetry_point_row(points[0], names, fake_metrics(1)).dump()
-        << '\n';
-    out << telemetry_point_row(points[2], names, fake_metrics(2)).dump()
-        << '\n';
-  }
-  {
-    std::ofstream out(b);
-    out << telemetry_point_row(points[2], names, fake_metrics(50)).dump()
-        << '\n';
-    out << telemetry_point_row(points[1], names, fake_metrics(3)).dump()
-        << '\n';
-  }
-
-  const std::string merged = (dir_ / "merged.jsonl").string();
-  // A missing input is an error, like merge_outputs' for CSV shards.
-  EXPECT_THROW(merge_telemetry({a, b, (dir_ / "m.w2").string()}, merged),
-               std::runtime_error);
-  EXPECT_FALSE(fs::exists(merged));
-
-  io::JsonObject trailer;
-  trailer["kind"] = "registry";
-  trailer["scope"] = "orchestrator";
-  EXPECT_EQ(merge_telemetry({a, b}, merged, {io::Json(std::move(trailer))}),
-            3U);
-
-  const auto rows = parse_lines(merged);
-  ASSERT_EQ(rows.size(), 4U);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(rows[i].at("point").as_double(),
-                     static_cast<double>(i));
-  }
-  // Point 2 came from the first input, not the duplicate in the second.
-  EXPECT_DOUBLE_EQ(rows[2].at("kernel").at("events_dispatched").as_double(),
-                   4.0);
-  EXPECT_EQ(rows[3].at("scope").as_string(), "orchestrator");
-
-  // A failed write (ENOSPC: the temp file links to /dev/full) throws and
-  // leaves the earlier merge's output and no temp file behind.
-  if (fs::exists("/dev/full")) {
-    const auto before = lines_of(merged);
-    fs::create_symlink("/dev/full", merged + ".tmp");
-    EXPECT_THROW(merge_telemetry({b, a}, merged), std::runtime_error);
-    EXPECT_FALSE(fs::exists(fs::symlink_status(merged + ".tmp")));
-    EXPECT_EQ(lines_of(merged), before);
-  }
-}
-
 TEST_F(TelemetryTest, MetricsOnAndOffProduceIdenticalCsv) {
   const Manifest m = small_manifest();
 

@@ -11,7 +11,11 @@
 //   # split one manifest across machines by hand, then recombine:
 //   pas-exp --manifest c.json --shard 0/2 --out s0.csv     # machine A
 //   pas-exp --manifest c.json --shard 1/2 --out s1.csv     # machine B
-//   pas-exp --merge s0.csv s1.csv --out full.csv --manifest c.json
+//   pas-exp --merge --manifest c.json --out full.csv s0.csv s1.csv
+//
+//   # --merge takes every artifact at once, in any order:
+//   pas-exp --merge --manifest c.json --out full.csv --per-run r.csv
+//     --metrics m.jsonl s0.csv s0_runs.csv s0.jsonl s1.csv s1_runs.csv ...
 //
 //   # the same rows as JSON lines, in any of the modes above:
 //   pas-exp --drive 4 --manifest c.json --out out.csv --json out.jsonl
@@ -43,7 +47,6 @@
 #include "exp/manifest.hpp"
 #include "exp/row_store.hpp"
 #include "exp/runner.hpp"
-#include "exp/telemetry.hpp"
 #include "metrics/report.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
@@ -118,10 +121,9 @@ int main(int argc, char** argv) {
                    "manifest, sharded across worker threads, worker "
                    "processes (--drive), or machines (--shard), with "
                    "resumable CSV output (plus a JSON-lines rendering). "
-                   "--merge recombines finalized shard outputs.");
+                   "--merge recombines finished shard outputs.");
   cli.add_string("manifest", &manifest_path,
-                 "Path to the campaign manifest (required except --merge, "
-                 "where it optionally validates the shard files)");
+                 "Path to the campaign manifest (required)");
   cli.add_string("out", &out_csv, "Output CSV path");
   cli.add_string("json", &jsonl_out,
                  "Optional JSON-lines rendering of the point CSV, written "
@@ -146,7 +148,9 @@ int main(int argc, char** argv) {
                "--drive any .w*.pasrows worker parts) and compute only the "
                "missing points");
   cli.add_flag("merge", &merge,
-               "Merge finalized shard CSVs (positional args) into --out");
+               "Merge finished shard outputs (positional args: point and "
+               "per-run CSVs, telemetry files) into --out, --per-run and "
+               "--metrics");
   cli.add_flag("progress", &progress,
                "Periodic one-line status (points done/total, reps/s, ETA) "
                "instead of per-point lines");
@@ -200,51 +204,31 @@ int main(int argc, char** argv) {
 
     if (merge) {
       const auto& inputs = cli.positional();
-      if (inputs.empty()) {
+      if (inputs.empty() || manifest_path.empty()) {
         std::fprintf(stderr,
-                     "pas-exp: --merge needs shard CSVs as positional "
-                     "arguments (try --help)\n");
+                     "pas-exp: --merge needs --manifest and the shard "
+                     "outputs as positional arguments (try --help)\n");
         return 2;
       }
       // Campaign-execution options have no meaning here; accepting them
-      // would let e.g. --per-run name a file that is never written, or
-      // --dry-run suggest no output gets touched when --out is overwritten.
-      if (!per_run_csv.empty() || !shard_spec.empty() || resume || dry_run ||
-          progress || jobs != 0 || rep_chunk != 0 || drive_workers != 0 ||
-          worker || worker_id != 0 || hang_timeout != 120.0 ||
-          !trace_path.empty() || trace_point != 0 || !serve_spec.empty() ||
-          serve_linger || do_export ||
-          agg_synth != 0 || agg_reps != 4) {
+      // would let e.g. --dry-run suggest no output gets touched when --out
+      // is overwritten.
+      if (!shard_spec.empty() || resume || dry_run || progress || jobs != 0 ||
+          rep_chunk != 0 || drive_workers != 0 || worker || worker_id != 0 ||
+          hang_timeout != 120.0 || !trace_path.empty() || trace_point != 0 ||
+          !serve_spec.empty() || serve_linger || do_export || agg_synth != 0 ||
+          agg_reps != 4) {
         std::fprintf(stderr,
-                     "pas-exp: --merge takes only input CSVs, --out, --json, "
-                     "and --manifest (merge per-run shard files in a separate "
-                     "--merge invocation)\n");
+                     "pas-exp: --merge takes only the shard outputs, "
+                     "--manifest, --out, --per-run, --metrics and --json\n");
         return 2;
       }
-      if (!metrics_path.empty()) {
-        // Telemetry merge: the positional inputs are telemetry JSONL shard
-        // files, recombined into --metrics. A separate invocation from the
-        // CSV merge, like per-run shard files.
-        if (!manifest_path.empty() || !jsonl_out.empty()) {
-          std::fprintf(stderr,
-                       "pas-exp: a telemetry merge (--merge --metrics) takes "
-                       "neither --manifest nor --json\n");
-          return 2;
-        }
-        const auto rows = pas::exp::merge_telemetry(inputs, metrics_path);
-        std::printf("merged %zu telemetry rows from %zu shard files -> %s\n",
-                    rows, inputs.size(), metrics_path.c_str());
-        return 0;
-      }
-      pas::exp::Manifest manifest;
-      const bool validate = !manifest_path.empty();
-      if (validate) manifest = pas::exp::Manifest::load(manifest_path);
-      const auto rows = pas::exp::merge_outputs(
-          inputs, out_csv, validate ? &manifest : nullptr);
+      const auto manifest = pas::exp::Manifest::load(manifest_path);
+      const auto merged = pas::exp::merge_campaign(
+          manifest, inputs, out_csv, per_run_csv, metrics_path);
       write_jsonl(out_csv, jsonl_out);
-      std::printf("merged %zu rows from %zu shard files -> %s%s\n", rows,
-                  inputs.size(), out_csv.c_str(),
-                  validate ? " (validated against manifest)" : "");
+      std::printf("merged %zu points from %zu shard files -> %s\n", merged,
+                  inputs.size(), out_csv.c_str());
       return 0;
     }
 
