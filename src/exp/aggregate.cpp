@@ -327,6 +327,10 @@ Aggregator::ImportReport Aggregator::load(
     }
     done_[p] = 1;
     ++done_count_;
+    if (!metrics_path_.empty() && held.telemetry[p] == 0 &&
+        report.untelemetered++ == 0) {
+      report.first_untelemetered = p;
+    }
   }
   return report;
 }

@@ -138,6 +138,10 @@ class Aggregator {
     /// Where and why the first dropped row was left out
     /// ("<path> line 4: point 3 appears twice"); empty if none was.
     std::string first_dropped;
+    /// With --metrics: points complete in the CSVs but without a telemetry
+    /// row, and the first of them (SIZE_MAX if none is).
+    std::size_t untelemetered = 0;
+    std::size_t first_untelemetered = SIZE_MAX;
   };
 
   /// Fills the row store from finished output files instead of computing

@@ -181,11 +181,9 @@ std::size_t merge_campaign(const Manifest& manifest,
         std::move(metrics_path)));
     const auto report = aggregator.import_outputs(inputs);
     if (report.dropped != 0) {
-      throw std::runtime_error(
-          "merge: " + report.first_dropped + " (" +
-          std::to_string(report.dropped) +
-          " input rows left out: overlapping shards, a torn row or another "
-          "grid?)");
+      throw std::runtime_error("merge: " + report.first_dropped + " (" +
+                               std::to_string(report.dropped) +
+                               " input rows left out)");
     }
     const auto pending = aggregator.pending();
     if (!pending.empty()) {
@@ -193,6 +191,13 @@ std::size_t merge_campaign(const Manifest& manifest,
           "merge: point " + std::to_string(pending.front()) +
           " is incomplete in the inputs (" + std::to_string(pending.size()) +
           " points are); a shard output is missing or unfinished");
+    }
+    if (report.untelemetered != 0) {
+      throw std::runtime_error(
+          "merge: point " + std::to_string(report.first_untelemetered) +
+          " has no telemetry row in the inputs (" +
+          std::to_string(report.untelemetered) +
+          " points lack one); a shard's --metrics file is missing");
     }
     aggregator.finalize();
     return aggregator.done_count();

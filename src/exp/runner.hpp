@@ -114,8 +114,9 @@ struct CampaignReport {
 /// std::runtime_error when `out_csv`'s row store exists (an in-flight
 /// campaign's; left unchanged), when an input is refused, when the import
 /// dropped a row (naming the first: a torn row, an overlap, a row outside
-/// the grid), or when a point is incomplete (naming the first: a missing
-/// or unfinished shard). A refused merge leaves no artifact, temp file or
+/// the grid), when a point is incomplete (naming the first: a missing
+/// or unfinished shard), or, with `metrics_path`, when a point has no
+/// telemetry row (a shard's telemetry file is missing). A refused merge leaves no artifact, temp file or
 /// row store behind; a killed one leaves a store that a resume finishes.
 /// Returns the number of merged points.
 std::size_t merge_campaign(const Manifest& manifest,

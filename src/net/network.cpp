@@ -9,8 +9,9 @@
 
 namespace pas::net {
 
-Network::Network(sim::Simulator& simulator, std::vector<geom::Vec2> positions,
-                 RadioConfig config, std::shared_ptr<Channel> channel,
+Network::Network(sim::Simulator& simulator,
+                 const std::vector<geom::Vec2>& positions, RadioConfig config,
+                 std::shared_ptr<Channel> channel,
                  const sim::SeedSequence& seeds)
     : simulator_(simulator) {
   reset(positions, config, std::move(channel), seeds);

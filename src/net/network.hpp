@@ -45,7 +45,7 @@ class Network {
   using RxHandler = std::function<void(const Message&)>;
   using EnergyHook = std::function<void(std::uint32_t node, std::size_t bits)>;
 
-  Network(sim::Simulator& simulator, std::vector<geom::Vec2> positions,
+  Network(sim::Simulator& simulator, const std::vector<geom::Vec2>& positions,
           RadioConfig config, std::shared_ptr<Channel> channel,
           const sim::SeedSequence& seeds);
 

@@ -88,10 +88,10 @@ class ShardTest : public ::testing::Test {
   /// artifact, a temp file or a row store behind.
   std::string merge_error(const std::vector<std::string>& inputs,
                           const Manifest& m = small_manifest(),
-                          bool per_run = false) const {
+                          bool per_run = false, bool metrics = false) const {
     std::string error;
     try {
-      (void)merge(m, inputs, per_run);
+      (void)merge(m, inputs, per_run, metrics);
       ADD_FAILURE() << "merge_campaign accepted the inputs";
     } catch (const std::runtime_error& e) {
       error = e.what();
@@ -299,6 +299,8 @@ TEST_F(ShardTest, MergeReportsDuplicateRowWithinOneInput) {
   EXPECT_NE(error.find(path("s1.csv") + " line 4: point 3 appears twice"),
             std::string::npos)
       << error;
+  // A row repeated inside one shard is not blamed on overlapping shards.
+  EXPECT_EQ(error.find("overlapping"), std::string::npos) << error;
 }
 
 TEST_F(ShardTest, ResumeReExportsUnsortedShardSorted) {
@@ -403,6 +405,21 @@ TEST_F(ShardTest, MergeWritesEveryArtifactInOneInvocation) {
     EXPECT_EQ(slurp(path("merged.jsonl")), before);
     EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
   }
+}
+
+// Telemetry lines are read leniently, but a --metrics merge still refuses
+// a point the CSVs complete and no telemetry file covers.
+TEST_F(ShardTest, MergeRejectsMissingTelemetry) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"), {}, false, path("s0.jsonl"));
+  run_shard(m, 1, 2, path("s1.csv"), {}, false, path("s1.jsonl"));
+  const auto error = merge_error({"s0.csv", "s1.csv", "s0.jsonl"}, m,
+                                 /*per_run=*/false, /*metrics=*/true);
+  EXPECT_NE(error.find("point 1 has no telemetry row"), std::string::npos)
+      << error;
+  EXPECT_EQ(merge(m, {"s0.csv", "s1.csv", "s0.jsonl", "s1.jsonl"}, false,
+                  true),
+            6U);
 }
 
 // A store at --out belongs to an in-flight campaign: a merge must neither
