@@ -14,6 +14,7 @@
 #include "exp/grid.hpp"
 #include "exp/telemetry.hpp"
 #include "io/csv.hpp"
+#include "io/json.hpp"
 
 namespace pas::exp {
 
@@ -47,12 +48,18 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-std::string join_csv(const std::vector<std::string>& cells) {
-  std::string line;
+/// Appends `cells` to `line` as one CSV row (no newline).
+template <typename Cells>
+void append_csv(std::string& line, const Cells& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) line.push_back(',');
-    line += io::CsvWriter::escape(cells[i]);
+    io::CsvWriter::append_escaped(line, cells[i]);
   }
+}
+
+std::string join_csv(const std::vector<std::string>& cells) {
+  std::string line;
+  append_csv(line, cells);
   return line;
 }
 
@@ -66,6 +73,16 @@ bool parse_index(const std::string& cell, std::size_t& out) {
   const auto [ptr, ec] =
       std::from_chars(cell.data(), cell.data() + cell.size(), out);
   return ec == std::errc{} && ptr == cell.data() + cell.size();
+}
+
+/// True if `line` is one JSON object: a telemetry file's first line, a
+/// point row or, from a shard that owns no point, its registry trailer.
+bool is_json_object(const std::string& line) {
+  try {
+    return io::Json::parse(line).is_object();
+  } catch (const std::runtime_error&) {
+    return false;
+  }
 }
 
 /// True if the whole cell parses as a *finite* double (→ emit raw in JSON
@@ -191,9 +208,10 @@ Aggregator::Aggregator(AggregatorOptions options)
   if (store_path_.empty() && !csv_path_.empty()) {
     store_path_ = RowStore::path_for(csv_path_);
   }
-  if (!options.owned_points.empty()) {
+  if (options.owned_points.has_value()) {
+    full_grid_ = false;
     owned_.assign(total_points_, 0);
-    for (const auto p : options.owned_points) {
+    for (const auto p : *options.owned_points) {
       if (p >= total_points_) {
         throw std::logic_error("Aggregator: owned point out of range");
       }
@@ -237,10 +255,6 @@ Aggregator::Aggregator(std::string csv_path,
           .owned_points = {},
           .store_path = {},
           .spill_budget_bytes = 0}) {}
-
-std::string Aggregator::csv_line(const std::vector<std::string>& cells) const {
-  return join_csv(cells);
-}
 
 struct Aggregator::Held {
   std::size_t replications = 0;
@@ -493,7 +507,7 @@ Aggregator::ImportReport Aggregator::import_outputs(
     }
     if (line.empty()) continue;  // an empty file holds no rows
     RowStore::Kind kind = RowStore::Kind::kTelemetry;
-    if (parse_point_row(line, 0) == SIZE_MAX) {
+    if (!is_json_object(line)) {
       const auto cells = split_csv_line(line);
       if (cells == columns_) {
         kind = RowStore::Kind::kSummary;
@@ -510,7 +524,7 @@ Aggregator::ImportReport Aggregator::import_outputs(
 }
 
 std::vector<std::size_t> Aggregator::absorb(
-    const std::string& part_store_path) {
+    const std::string& part_store_path, std::uint64_t& offset) {
   const std::lock_guard lock(mutex_);
   if (store_path_.empty()) {
     throw std::logic_error("Aggregator: absorb requires a summary CSV path");
@@ -552,7 +566,10 @@ std::vector<std::size_t> Aggregator::absorb(
     }
     batch.clear();
     frames.clear();
-  }, /*with_cells=*/false);
+    // The next absorb starts after this batch; an open batch behind it may
+    // still be in flight, so the offset never moves past one.
+    offset = r.seq + r.frame.size();
+  }, /*with_cells=*/false, offset);
   store_->flush();
   return absorbed;
 }
@@ -604,49 +621,53 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
   };
   // Records are buffered as their rendered line, the one cell the export
   // writes: kept as separate strings, a row's cells cost several times its
-  // text. Records the export never writes (a wrong cell count, or a kind
-  // whose artifact is off) are dropped here.
+  // text. The line is rendered straight from the verified frame's cells.
+  // Records the export never writes (a wrong cell count, or a kind whose
+  // artifact is off) are dropped here.
   const bool per_run = !per_run_path_.empty();
   const bool metrics = !metrics_path_.empty();
+  std::vector<std::string_view> cells;
+  std::string line;  // rendered here, then copied once at its exact size
   store_->scan([&](const RowStore::Record& r) {
-    std::string line;
+    RowStore::cells_of(r.frame, cells);
+    line.clear();
     switch (r.kind) {
       case RowStore::Kind::kSummary:
-        if (r.cells.size() != columns_.size()) return;
-        line = csv_line(r.cells);
+        if (cells.size() != columns_.size()) return;
+        append_csv(line, cells);
         break;
       case RowStore::Kind::kPerRun:
         if (!per_run || r.rep >= replications_ ||
-            r.cells.size() != per_run_columns_.size()) {
+            cells.size() != per_run_columns_.size()) {
           return;
         }
-        line = csv_line(r.cells);
+        append_csv(line, cells);
         break;
       case RowStore::Kind::kTelemetry:
-        if (!metrics || r.cells.size() != 1) return;
-        line = r.cells.front();
+        if (!metrics || cells.size() != 1) return;
+        line = cells.front();
         break;
     }
-    buffer.push_back({.kind = r.kind,
-                      .point = r.point,
-                      .rep = r.rep,
-                      .seq = r.seq,
-                      .cells = {std::move(line)},
-                      .frame = {}});
-    buffered += record_bytes(buffer.back());
+    RowStore::Record& kept = buffer.emplace_back();
+    kept.kind = r.kind;
+    kept.point = r.point;
+    kept.rep = r.rep;
+    kept.seq = r.seq;
+    kept.cells.emplace_back(line);
+    buffered += record_bytes(kept);
     if (buffered >= budget) spill();
-  });
+  }, /*with_cells=*/false);
   std::sort(buffer.begin(), buffer.end(), record_less);
 
   struct Source {
     std::unique_ptr<RowStore::RunReader> reader;
-    const std::vector<RowStore::Record>* mem = nullptr;
+    std::vector<RowStore::Record>* mem = nullptr;
     std::size_t mem_idx = 0;
     RowStore::Record cur;
     bool advance() {
       if (reader) return reader->next(cur);
       if (mem_idx >= mem->size()) return false;
-      cur = (*mem)[mem_idx++];
+      cur = std::move((*mem)[mem_idx++]);
       return true;
     }
   };
@@ -670,7 +691,7 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
   if (!csv_out) {
     throw std::runtime_error("Aggregator: cannot write " + csv_tmp);
   }
-  csv_out << csv_line(columns_) << '\n';
+  csv_out << join_csv(columns_) << '\n';
   std::ofstream per_run_out;
   const std::string per_run_tmp = per_run_path_ + ".tmp";
   if (per_run) {
@@ -679,7 +700,7 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
     if (!per_run_out) {
       throw std::runtime_error("Aggregator: cannot write " + per_run_tmp);
     }
-    per_run_out << csv_line(per_run_columns_) << '\n';
+    per_run_out << join_csv(per_run_columns_) << '\n';
   }
   std::ofstream metrics_out;
   const std::string metrics_tmp = metrics_path_ + ".tmp";
@@ -720,26 +741,29 @@ void Aggregator::export_store(const std::vector<std::string>& trailers) {
     std::fill(latest_rep.begin(), latest_rep.end(), std::nullopt);
   };
 
+  // The winning record is moved out of its source, which advance() then
+  // refills.
   while (!heap.empty()) {
     Source* s = heap.top();
     heap.pop();
-    const RowStore::Record& r = s->cur;
+    RowStore::Record& r = s->cur;
     if (r.point != cur_point) {
       emit_group();
       cur_point = r.point;
     }
+    const auto keep_latest = [&r](std::optional<RowStore::Record>& slot) {
+      if (!slot.has_value() || slot->seq < r.seq) slot = std::move(r);
+    };
     switch (r.kind) {
       case RowStore::Kind::kSummary:
-        if (!summary.has_value() || summary->seq < r.seq) summary = r;
+        keep_latest(summary);
         break;
       case RowStore::Kind::kTelemetry:
-        if (!telemetry.has_value() || telemetry->seq < r.seq) telemetry = r;
+        keep_latest(telemetry);
         break;
-      case RowStore::Kind::kPerRun: {
-        auto& slot = latest_rep[r.rep];
-        if (!slot.has_value() || slot->seq < r.seq) slot = r;
+      case RowStore::Kind::kPerRun:
+        keep_latest(latest_rep[r.rep]);
         break;
-      }
     }
     if (s->advance()) heap.push(s);
   }
@@ -962,7 +986,8 @@ std::size_t absorb_part_stores(Aggregator& aggregator,
                                const std::string& csv_path) {
   std::size_t absorbed = 0;
   for (const auto& part : discover_part_stores(csv_path)) {
-    absorbed += aggregator.absorb(part).size();
+    std::uint64_t offset = 0;
+    absorbed += aggregator.absorb(part, offset).size();
     std::filesystem::remove(part);
   }
   return absorbed;

@@ -44,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,10 +89,11 @@ struct AggregatorOptions {
   /// reject rows computed under a different manifest. Empty disables the
   /// check (unit tests); the runner always passes it from the grid.
   std::vector<std::vector<std::string>> expected_identity;
-  /// Point indices this shard owns, ascending. Empty means all points.
+  /// Point indices this shard owns, ascending. Unset means the whole grid;
+  /// an empty list owns no point (a shard beyond the grid's size).
   /// pending()/finalize() consider only owned points, and resume rejects
   /// rows for foreign points (they signal a wrong --shard/--out pairing).
-  std::vector<std::size_t> owned_points;
+  std::optional<std::vector<std::size_t>> owned_points;
   /// Binary row-store location; empty means RowStore::path_for(csv_path).
   /// Setting it requires csv_path.
   std::string store_path;
@@ -148,7 +150,8 @@ class Aggregator {
   /// them (pas-exp --merge), through load_existing()'s import. Each input
   /// is sorted by its first line: this campaign's columns() header marks a
   /// point CSV, its per_run_columns() header a per-run CSV, and a JSON
-  /// point row a telemetry file; an empty input holds nothing. Rows get
+  /// object a telemetry file (a point row, or the registry trailer of a
+  /// shard that owns no point); an empty input holds nothing. Rows get
   /// load_existing()'s checks and throws, and the store's commit order
   /// holds (per-run rows, then telemetry, then summaries), so a killed
   /// import leaves a store that a resume finishes. Also throws
@@ -161,15 +164,20 @@ class Aggregator {
 
   /// Copies every complete point batch of another row store written under
   /// this campaign's identity (an orchestrator worker's part) into this
-  /// one, in a single pass, and flushes once. A batch is the run of one
-  /// point's records closed by its summary, the commit mark record()
-  /// writes; a batch without one is torn and skipped, and so is a point
-  /// this aggregator already holds (first absorb wins), which makes
-  /// absorbing the same part twice a no-op. Throws std::runtime_error on a
-  /// foreign store (identity mismatch) and under load_existing()'s rule
-  /// for per-run and telemetry records. Returns the absorbed points in
-  /// store order. Requires a CSV path; call after load_existing().
-  std::vector<std::size_t> absorb(const std::string& part_store_path);
+  /// one, in a single pass from byte `offset` (0: the first record), and
+  /// flushes once. A batch is the run of one point's records closed by its
+  /// summary, the commit mark record() writes; a batch without one is torn
+  /// and skipped, and so is a point this aggregator already holds (first
+  /// absorb wins), which makes absorbing the same part twice a no-op.
+  /// `offset` then moves to the end of the last closed batch, never past
+  /// an open one, so a part that is still being written is absorbed in
+  /// steps: each call takes the batches committed since the last.
+  /// Throws std::runtime_error on a foreign store (identity mismatch) and
+  /// under load_existing()'s rule for per-run and telemetry records.
+  /// Returns the absorbed points in store order. Requires a CSV path; call
+  /// after load_existing().
+  std::vector<std::size_t> absorb(const std::string& part_store_path,
+                                  std::uint64_t& offset);
 
   /// True if `point` already has a row (recorded now or recovered).
   [[nodiscard]] bool is_done(std::size_t point) const;
@@ -202,7 +210,7 @@ class Aggregator {
   [[nodiscard]] std::size_t total_points() const noexcept { return total_points_; }
   /// Number of points this shard owns (== total_points() unsharded).
   [[nodiscard]] std::size_t owned_count() const noexcept {
-    return owned_.empty() ? total_points_ : owned_count_;
+    return full_grid_ ? total_points_ : owned_count_;
   }
 
   /// Summaries recorded *this process* (resumed rows are not re-parsed into
@@ -228,9 +236,8 @@ class Aggregator {
   [[nodiscard]] static std::vector<std::string> per_run_metric_columns();
 
  private:
-  [[nodiscard]] std::string csv_line(const std::vector<std::string>& cells) const;
   [[nodiscard]] bool owns(std::size_t point) const {
-    return point < total_points_ && (owned_.empty() || owned_[point] != 0);
+    return point < total_points_ && (full_grid_ || owned_[point] != 0);
   }
   /// Creates/opens the store lazily. Caller must hold mutex_.
   void ensure_store();
@@ -263,7 +270,9 @@ class Aggregator {
   std::vector<std::string> columns_;
   std::vector<std::string> per_run_columns_;
   std::vector<std::vector<std::string>> expected_identity_;
-  /// Ownership bitmap indexed by point; empty means "owns everything".
+  /// Unsharded: owns every point, and owned_ is unused.
+  bool full_grid_ = true;
+  /// Ownership bitmap indexed by point.
   std::vector<std::uint8_t> owned_;
   std::size_t owned_count_ = 0;
 

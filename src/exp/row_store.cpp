@@ -16,26 +16,52 @@ constexpr std::uint64_t kHeaderBytes = 16;
 /// length field, ending the clean prefix.
 constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 
-const std::array<std::uint32_t, 256>& crc32_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// Little-endian loads, spelled out so the compiler emits one load each.
+std::uint32_t get_u32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint32_t>(b[0]) |
+         static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 |
+         static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+/// Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+/// table[0] is the classic byte table, table[k][b] advances table[k-1][b]
+/// by one more zero byte, so eight bytes fold in with eight lookups.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const Crc32Tables& crc32_tables() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 std::uint32_t crc32(const char* data, std::size_t size) {
-  const auto& table = crc32_table();
+  const auto& t = crc32_tables();
   std::uint32_t c = 0xFFFFFFFFu;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = get_u32(data) ^ c;
+    const std::uint32_t hi = get_u32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
   for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^ (c >> 8);
+    c = t[0][(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -52,20 +78,8 @@ void put_u64(std::string& out, std::uint64_t v) {
   }
 }
 
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
 std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
+  return get_u32(p) | static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
 /// Serializes a record payload; `with_seq` embeds the sequence number
@@ -205,7 +219,7 @@ bool RowStore::file_exists() const {
 
 std::uint64_t RowStore::scan_impl(
     const std::function<void(const Record&)>& on_record, bool with_cells,
-    bool* header_present) const {
+    std::uint64_t from, bool* header_present) const {
   if (header_present != nullptr) *header_present = false;
   std::ifstream in(path_, std::ios::binary);
   if (!in) return 0;
@@ -226,6 +240,10 @@ std::uint64_t RowStore::scan_impl(
   }
   if (header_present != nullptr) *header_present = true;
   std::uint64_t clean = kHeaderBytes;
+  if (from > clean) {
+    in.seekg(static_cast<std::streamoff>(from));
+    clean = from;
+  }
   std::string frame;
   Record record;
   bool torn = false;
@@ -244,16 +262,30 @@ std::uint64_t RowStore::scan_impl(
 }
 
 std::uint64_t RowStore::scan(
-    const std::function<void(const Record&)>& on_record,
-    bool with_cells) const {
-  return scan_impl(on_record, with_cells, nullptr);
+    const std::function<void(const Record&)>& on_record, bool with_cells,
+    std::uint64_t from) const {
+  return scan_impl(on_record, with_cells, from, nullptr);
+}
+
+void RowStore::cells_of(std::string_view frame,
+                        std::vector<std::string_view>& cells) {
+  // scan() verified the frame, so every length field is in range.
+  cells.clear();
+  const char* p = frame.data() + kFrameHeadBytes + 1 + 8 + 4;
+  const std::uint32_t cell_count = get_u32(p);
+  p += 4;
+  for (std::uint32_t i = 0; i < cell_count; ++i) {
+    const std::uint32_t len = get_u32(p);
+    cells.emplace_back(p + 4, len);
+    p += 4 + len;
+  }
 }
 
 void RowStore::open_append() {
   if (out_.is_open()) return;
   bool header_present = false;
   const std::uint64_t clean =
-      scan_impl(nullptr, /*with_cells=*/false, &header_present);
+      scan_impl(nullptr, /*with_cells=*/false, 0, &header_present);
   std::error_code ec;
   const auto size = std::filesystem::file_size(path_, ec);
   if (!ec && size > clean && clean >= kHeaderBytes) {

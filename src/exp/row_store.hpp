@@ -88,9 +88,17 @@ class RowStore {
   /// on a magic or identity-hash mismatch. `on_record` may be null (used
   /// to measure the prefix only). Without `with_cells` each record is
   /// validated just as strictly but its cells are left empty (readers that
-  /// need only the keys, or the frame).
+  /// need only the keys, or the frame and cells_of()). A nonzero `from`
+  /// starts at that byte offset, a record boundary an earlier scan of the
+  /// same file reached (a record's seq plus its frame size, or a returned
+  /// clean-prefix count); the header is still verified first.
   std::uint64_t scan(const std::function<void(const Record&)>& on_record,
-                     bool with_cells = true) const;
+                     bool with_cells = true, std::uint64_t from = 0) const;
+
+  /// The cells of a frame scan() verified, as views into `frame`, in
+  /// order; `cells` is cleared first so one vector serves a whole scan.
+  static void cells_of(std::string_view frame,
+                       std::vector<std::string_view>& cells);
 
   /// Opens the store for appending: validates the header, truncates a torn
   /// tail back to the clean prefix, and writes a fresh header when the file
@@ -137,7 +145,8 @@ class RowStore {
 
  private:
   std::uint64_t scan_impl(const std::function<void(const Record&)>& on_record,
-                          bool with_cells, bool* header_present) const;
+                          bool with_cells, std::uint64_t from,
+                          bool* header_present) const;
 
   std::string path_;
   std::uint64_t identity_hash_ = 0;

@@ -221,7 +221,7 @@ CampaignReport run_campaign(const Manifest& manifest,
         "run_campaign: shard_index must be < shard_count");
   }
   const auto points = expand_grid(manifest);
-  if (!options.owned_points.empty() && options.shard_count > 1) {
+  if (options.owned_points.has_value() && options.shard_count > 1) {
     throw std::invalid_argument(
         "run_campaign: owned_points and shard_index/shard_count are "
         "mutually exclusive ownership specs");
@@ -237,15 +237,17 @@ CampaignReport run_campaign(const Manifest& manifest,
   auto agg_options = campaign_aggregator_options(
       manifest, points, options.out_csv, options.per_run_csv,
       options.metrics_path);
-  if (!options.owned_points.empty()) {
+  if (options.owned_points.has_value()) {
     agg_options.owned_points = options.owned_points;
   } else if (options.shard_count > 1) {
+    // A shard beyond the grid's size owns no point, not the whole grid.
+    auto& owned = agg_options.owned_points.emplace();
     for (std::size_t p = options.shard_index; p < points.size();
          p += options.shard_count) {
-      agg_options.owned_points.push_back(p);
+      owned.push_back(p);
     }
   }
-  const bool full_grid = agg_options.owned_points.empty();
+  const bool full_grid = !agg_options.owned_points.has_value();
   Aggregator aggregator(std::move(agg_options));
   std::size_t recovered = aggregator.load_existing();
   // A killed drive's parts finish under a serial resume too. A shard owns

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "exp/aggregate.hpp"
@@ -54,11 +55,10 @@ struct CampaignOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   /// Explicit point ownership: this process computes exactly these indices
-  /// (any order; duplicates collapse). Overrides the modulo split above —
-  /// setting both is an error. This is the lease shape the src/orch driver
-  /// hands to workers; arbitrary subsets also let tests fabricate partial
-  /// shard files directly.
-  std::vector<std::size_t> owned_points;
+  /// (any order; duplicates collapse; an empty list computes nothing).
+  /// Replaces the modulo split above — setting both is an error. Arbitrary
+  /// subsets let tests fabricate partial shard files directly.
+  std::optional<std::vector<std::size_t>> owned_points;
   /// Replications per sub-job within a point. 0 = automatic: whole points
   /// when the grid alone saturates the pool, smaller chunks otherwise.
   /// manifest.replications (or larger) forces one job per point.

@@ -1,5 +1,6 @@
 #include "io/csv.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
@@ -16,18 +17,27 @@ std::string format_double(double v) {
 }
 
 std::string CsvWriter::escape(std::string_view field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quotes) return std::string(field);
   std::string out;
-  out.reserve(field.size() + 2);
+  append_escaped(out, field);
+  return out;
+}
+
+void CsvWriter::append_escaped(std::string& out, std::string_view field) {
+  // A plain loop: find_first_of searches the four specials once per byte.
+  const bool needs_quotes =
+      std::any_of(field.begin(), field.end(), [](char c) {
+        return c == ',' || c == '"' || c == '\n' || c == '\r';
+      });
+  if (!needs_quotes) {
+    out += field;
+    return;
+  }
   out.push_back('"');
   for (const char c : field) {
     if (c == '"') out.push_back('"');
     out.push_back(c);
   }
   out.push_back('"');
-  return out;
 }
 
 void CsvWriter::header(std::initializer_list<std::string_view> columns) {

@@ -33,6 +33,8 @@ class CsvWriter {
 
   /// Escapes a single CSV field per RFC 4180.
   [[nodiscard]] static std::string escape(std::string_view field);
+  /// escape(), appended to `out` without a temporary.
+  static void append_escaped(std::string& out, std::string_view field);
 
  private:
   void write_row(const std::vector<std::string>& cells);

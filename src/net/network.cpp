@@ -1,9 +1,7 @@
 #include "net/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "geom/aabb.hpp"
 #include "net/mac.hpp"
 #include "sim/small_fn.hpp"
 
@@ -42,25 +40,23 @@ void Network::reset(const std::vector<geom::Vec2>& positions,
   alert_handler_ = AlertHandler{};
   mac_ = nullptr;
 
-  // Precompute the neighbor lists once; nodes are static for a run. The
-  // per-node vectors keep their capacity across resets.
-  geom::Aabb bounds{positions_.front(), positions_.front()};
-  for (const auto& p : positions_) {
-    bounds.lo.x = std::min(bounds.lo.x, p.x);
-    bounds.lo.y = std::min(bounds.lo.y, p.y);
-    bounds.hi.x = std::max(bounds.hi.x, p.x);
-    bounds.hi.y = std::max(bounds.hi.y, p.y);
-  }
-  const geom::GridIndex index(positions_, bounds.inflated(1.0), config_.range_m);
-  neighbors_.resize(positions_.size());
-  for (std::uint32_t i = 0; i < positions_.size(); ++i) {
-    auto& nbrs = neighbors_[i];
-    nbrs.clear();
-    index.for_each_in_radius(positions_[i], config_.range_m,
-                             [&nbrs, i](std::uint32_t j) {
-                               if (j != i) nbrs.push_back(j);
-                             });
-    std::sort(nbrs.begin(), nbrs.end());
+  // Precompute the neighbor lists once; nodes are static for a run. Each
+  // pair is tested once, in index order, with the range test is_connected
+  // uses, and lands in both lists: node j's list gets the smaller ids while
+  // the outer loop reaches them, then its larger ids, so every list comes
+  // out sorted with nothing to index or sort. The per-node vectors keep
+  // their capacity across resets.
+  const double r2 = config_.range_m * config_.range_m;
+  const auto n = static_cast<std::uint32_t>(positions_.size());
+  neighbors_.resize(n);
+  for (auto& nbrs : neighbors_) nbrs.clear();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      if (geom::distance2(positions_[j], positions_[i]) <= r2) {
+        neighbors_[i].push_back(j);
+        neighbors_[j].push_back(i);
+      }
+    }
   }
   frames_.clear();
   free_frames_.clear();

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "geom/grid_index.hpp"
 #include "geom/vec2.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"

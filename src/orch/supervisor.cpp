@@ -180,16 +180,21 @@ class Driver {
     Clock::time_point last_line{};
     std::size_t points_done = 0;  // completed this spawn (progress display)
     std::string part_csv;
+    /// Where the next absorb of the part starts: the end of the last
+    /// committed batch the driver has absorbed.
+    std::uint64_t part_offset = 0;
   };
 
   /// Builds the campaign's store, loads what it (or its finalized CSVs)
   /// already holds, absorbs the parts of a killed drive when resuming, and
   /// claims every loaded point.
   void open_store();
-  /// Absorbs worker `w`'s part store into the driver's and deletes it;
-  /// returns how many of its points the protocol had not claimed yet (they
-  /// are now claimed by `w` and counted as computed).
-  std::size_t absorb_part(const Worker& w);
+  /// Absorbs the batches worker `w` committed to its part store since the
+  /// last absorb into the driver's. Points the protocol had not claimed yet
+  /// are now claimed by `w` and counted as computed.
+  void absorb_part(Worker& w);
+  /// absorb_part() for a worker that has exited, then deletes its part.
+  void retire_part(Worker& w);
   void spawn(int id);
   bool send(Worker& w, const std::string& line);
   void assign(Worker& w);
@@ -253,19 +258,20 @@ std::size_t Driver::eligible_workers() const {
   return std::max<std::size_t>(1, n);
 }
 
-std::size_t Driver::absorb_part(const Worker& w) {
+void Driver::absorb_part(Worker& w) {
   // A worker that died before its first record left no store: nothing to
-  // absorb, nothing to delete.
-  const std::string part = exp::RowStore::path_for(w.part_csv);
-  std::size_t fresh = 0;
-  for (const auto p : aggregator_->absorb(part)) {
-    if (claimed_.emplace(p, w.id).second) ++fresh;
+  // absorb (and, at retire_part, nothing to delete).
+  for (const auto p : aggregator_->absorb(exp::RowStore::path_for(w.part_csv),
+                                          w.part_offset)) {
+    if (claimed_.emplace(p, w.id).second) ++report_.computed;
   }
+}
+
+void Driver::retire_part(Worker& w) {
+  absorb_part(w);
   // Deleted only after absorb's flush: a kill in between leaves the part
   // for the next --resume, whose absorb finds every point held already.
-  fs::remove(part);
-  report_.computed += fresh;
-  return fresh;
+  fs::remove(exp::RowStore::path_for(w.part_csv));
 }
 
 void Driver::open_store() {
@@ -432,12 +438,16 @@ void Driver::handle_line(Worker& w, const std::string& line) {
                     " already claimed by another worker");
         return;
       }
-      ++report_.computed;
+      // Not inserted: an absorb at an earlier lease_done already took the
+      // point from the part and counted it.
+      if (inserted) ++report_.computed;
       ++w.points_done;
       {
         // Identity-only row: the worker's rows reach the driver only when
-        // its part is absorbed, so the live view carries what the protocol
-        // proves — which point finished, on which worker.
+        // its part is absorbed — after every lease_done, and the remainder
+        // when the worker exits, which also deletes the part — so the live
+        // view carries what the protocol proves: which point finished, on
+        // which worker.
         io::JsonObject row;
         row["point"] = msg->point;
         row["seed"] = std::to_string(points_[msg->point].seed);
@@ -465,6 +475,10 @@ void Driver::handle_line(Worker& w, const std::string& line) {
       }
       w.has_lease = false;
       assign(w);
+      // The lease's points are committed to the part (record() flushes
+      // before point_done). Absorbing them now, while the worker starts on
+      // the lease just sent, leaves only the remainder for its exit.
+      absorb_part(w);
       break;
     case WorkerMsg::Kind::kFail:
       last_worker_error_ = msg->message;
@@ -514,8 +528,11 @@ void Driver::crash_recover(Worker& w) {
   if (w.has_lease) unfinished = leases_.revoke(w.lease);
   // The part store is ground truth: rows are flushed before point_done is
   // sent, so points the dead worker finished but never reported are
-  // recovered from disk instead of being recomputed.
-  const std::size_t recovered_from_disk = absorb_part(w);
+  // recovered from disk instead of being recomputed. They are the lease
+  // points now claimed: absorbed just now, or at the last lease_done.
+  retire_part(w);
+  const std::size_t recovered_from_disk = std::erase_if(
+      unfinished, [this](std::size_t p) { return claimed_.count(p) > 0; });
   recovered_rows_.add(recovered_from_disk);
   feed_->add_recovered(recovered_from_disk);
   if (recovered_from_disk > 0) {
@@ -523,8 +540,6 @@ void Driver::crash_recover(Worker& w) {
                         std::to_string(recovered_from_disk) +
                             " rows from part store");
   }
-  std::erase_if(unfinished,
-                [this](std::size_t p) { return claimed_.count(p) > 0; });
   queue_->put_back(unfinished);
   if (queue_->empty()) return;
   if (report_.respawns < options_.max_respawns) {
@@ -571,7 +586,7 @@ void Driver::reap() {
     const bool clean = !w.doomed && w.quit_sent && !w.has_lease &&
                        WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (clean) {
-      absorb_part(w);
+      retire_part(w);
     } else {
       if (w.doomed) {
         std::fprintf(stderr, "pas-exp: worker %d failed: %s\n", w.id,
@@ -606,7 +621,7 @@ void Driver::interrupt_children() {
     w->pid = -1;  // reaped: the exception path must not signal a reused pid
     close_fds(*w);
     // The interrupted campaign is then one store, as a serial run leaves.
-    absorb_part(*w);
+    retire_part(*w);
   }
   workers_.clear();
 }

@@ -10,10 +10,11 @@
 //
 // The driver owns the campaign's one exp::Aggregator on --out/--per-run/
 // --metrics, built exactly as run_campaign builds its own. Each worker
-// records into its own part store `<out>.w<k>.pasrows`, and the driver
-// absorbs that store into its own (exp::Aggregator::absorb: complete point
-// batches only, first absorb wins) and deletes it whenever the worker
-// exits:
+// records into its own part store `<out>.w<k>.pasrows`. After every
+// `lease_done` the driver absorbs the batches the worker committed since
+// the last absorb into its own store (exp::Aggregator::absorb from the
+// part's offset: complete point batches only, first absorb wins); whenever
+// the worker exits it absorbs the remainder and deletes the part:
 //
 //  * Clean exit (after `quit`): every point was already claimed through
 //    the protocol.

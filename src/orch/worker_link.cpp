@@ -310,7 +310,8 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
           // record() appends + flushes before point_done is sent: the part
           // store leads the protocol stream, so a crash after this line
           // loses at most the *message*, never the data — the supervisor
-          // absorbs the store when the worker exits, however it exits.
+          // absorbs the store after each lease_done and when the worker
+          // exits, however it exits.
           aggregator.record(
               p, points[p].seed, points[p].values, metrics,
               telemetry_on
@@ -327,7 +328,7 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
       if (!out.send(format_lease_done(cmd->lease))) return 1;
     }
     // `quit` or stdin EOF (driver gone): every point is already in the
-    // part store, which the driver absorbs.
+    // part store, whose remainder the driver absorbs.
     heartbeat.stop();
     return 0;
   } catch (const std::exception& e) {

@@ -23,7 +23,8 @@
 // exp::Aggregator: every completed point is appended + flushed before
 // `point_done` is sent, so the part store (not the protocol stream) is the
 // ground truth. The worker never exports it; the supervisor absorbs it into
-// its own store when the worker exits — cleanly, crashed or interrupted.
+// its own store after every `lease_done`, and the remainder when the worker
+// exits — cleanly, crashed or interrupted.
 #pragma once
 
 #include <cstdint>

@@ -394,6 +394,13 @@ class StoreAggregateTest : public AggregateTest {
     return options.store_path;
   }
 
+  /// Absorbs a whole part from its first record.
+  static std::vector<std::size_t> absorb_whole(Aggregator& aggregator,
+                                               const std::string& part) {
+    std::uint64_t offset = 0;
+    return aggregator.absorb(part, offset);
+  }
+
   /// Records the whole campaign under `sub` and finalizes it: the bytes
   /// every recovery path must reproduce.
   void record_clean(const fs::path& sub, std::size_t total_points,
@@ -522,7 +529,7 @@ TEST_F(StoreAggregateTest, AbsorbCarriesPerRunAndTelemetryRowsWithSummary) {
   const auto part = record_part("w0", 4, 3, {2, 0, 3, 1});
   Aggregator driver{telemetry_options("driver", 4, 3)};
   driver.load_existing();
-  EXPECT_EQ(driver.absorb(part), (std::vector<std::size_t>{2, 0, 3, 1}));
+  EXPECT_EQ(absorb_whole(driver, part), (std::vector<std::size_t>{2, 0, 3, 1}));
   EXPECT_EQ(driver.done_count(), 4U);
   driver.finalize({"{\"kind\":\"registry\"}"});
   expect_same_artifacts("driver", "clean");
@@ -540,7 +547,7 @@ TEST_F(StoreAggregateTest, AbsorbWritesTheBytesOfADecodeAndReencode) {
   const auto options = telemetry_options("driver", 4, 3);
   Aggregator driver{AggregatorOptions(options)};
   driver.load_existing();
-  EXPECT_EQ(driver.absorb(part), (std::vector<std::size_t>{2, 0, 3}));
+  EXPECT_EQ(absorb_whole(driver, part), (std::vector<std::size_t>{2, 0, 3}));
 
   const std::uint64_t identity =
       RowStore::hash_identity(driver.columns(), 4, 3, {});
@@ -560,7 +567,7 @@ TEST_F(StoreAggregateTest, AbsorbSkipsATornLastBatch) {
   fs::resize_file(part, fs::file_size(part) - 3);
   Aggregator driver{telemetry_options("driver", 3, 2)};
   driver.load_existing();
-  EXPECT_EQ(driver.absorb(part), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(absorb_whole(driver, part), (std::vector<std::size_t>{0}));
   EXPECT_EQ(driver.pending(), (std::vector<std::size_t>{1, 2}));
 }
 
@@ -570,10 +577,10 @@ TEST_F(StoreAggregateTest, AbsorbSkipsPointsTheDriverAlreadyHolds) {
   Aggregator driver{AggregatorOptions(options)};
   driver.load_existing();
   driver.record(1, 101, {"1"}, synth_metrics(1, 2), telemetry_row(1));
-  EXPECT_EQ(driver.absorb(record_part("w0", 3, 2, {0})),
+  EXPECT_EQ(absorb_whole(driver, record_part("w0", 3, 2, {0})),
             (std::vector<std::size_t>{0}));
   // Points 0 and 1 are held already: only point 2's batch is copied.
-  EXPECT_EQ(driver.absorb(record_part("w1", 3, 2, {0, 1, 2})),
+  EXPECT_EQ(absorb_whole(driver, record_part("w1", 3, 2, {0, 1, 2})),
             (std::vector<std::size_t>{2}));
   std::vector<std::size_t> records_per_point(3, 0);
   RowStore(options.store_path,
@@ -585,6 +592,83 @@ TEST_F(StoreAggregateTest, AbsorbSkipsPointsTheDriverAlreadyHolds) {
   expect_same_artifacts("driver", "clean");
 }
 
+// A drive absorbs each worker's part after every lease_done, from where the
+// last absorb stopped, while the worker keeps appending to it. The part
+// below grows a batch at a time, with the next batch torn at every byte in
+// between; each absorb takes exactly the batches committed since the last
+// one and never moves its offset past an open batch.
+TEST_F(StoreAggregateTest, AbsorbFromAnOffsetTakesEachCommittedBatchOnce) {
+  constexpr std::size_t kPoints = 5;
+  constexpr std::size_t kReps = 2;
+  record_clean("clean", kPoints, kReps);
+  // The part as its worker leaves it, and where each point's batch ends.
+  const auto finished = record_part("finished", kPoints, kReps,
+                                    {3, 0, 4, 1, 2});
+  const std::string bytes = slurp(finished);
+  const auto options = telemetry_options("driver", kPoints, kReps);
+  Aggregator driver{AggregatorOptions(options)};
+  driver.load_existing();
+  const std::uint64_t identity =
+      RowStore::hash_identity(driver.columns(), kPoints, kReps, {});
+  std::vector<std::uint64_t> batch_end;
+  RowStore(finished, identity).scan([&](const RowStore::Record& r) {
+    if (r.kind == RowStore::Kind::kSummary) {
+      batch_end.push_back(r.seq + r.frame.size());
+    }
+  }, /*with_cells=*/false);
+  ASSERT_EQ(batch_end.size(), kPoints);
+  ASSERT_EQ(batch_end.back(), bytes.size());
+
+  fs::create_directories(dir_ / "w0");
+  const std::string part = (dir_ / "w0" / "out.csv.pasrows").string();
+  const auto write_part = [&](std::uint64_t size) {
+    std::ofstream(part, std::ios::binary | std::ios::trunc)
+        << bytes.substr(0, size);
+  };
+  std::uint64_t offset = 0;
+  write_part(batch_end[0]);
+  EXPECT_EQ(driver.absorb(part, offset), (std::vector<std::size_t>{3}));
+  EXPECT_EQ(offset, batch_end[0]);
+
+  // Point 0's batch in flight: a torn frame, or whole frames without the
+  // summary that commits them. Nothing is taken, the offset stays, and
+  // the driver's store does not change.
+  const std::string store_before = slurp(options.store_path);
+  for (std::uint64_t cut = batch_end[0] + 1; cut < batch_end[1]; ++cut) {
+    write_part(cut);
+    EXPECT_EQ(driver.absorb(part, offset), std::vector<std::size_t>{})
+        << "cut at " << cut;
+    EXPECT_EQ(offset, batch_end[0]) << "cut at " << cut;
+  }
+  EXPECT_EQ(slurp(options.store_path), store_before);
+
+  // Once committed, the batch is taken with the one after it.
+  write_part(batch_end[2]);
+  EXPECT_EQ(driver.absorb(part, offset), (std::vector<std::size_t>{0, 4}));
+  EXPECT_EQ(offset, batch_end[2]);
+  write_part(bytes.size());
+  EXPECT_EQ(driver.absorb(part, offset), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(offset, bytes.size());
+
+  // Absorbing again at the returned offset changes nothing.
+  const std::string store_after = slurp(options.store_path);
+  EXPECT_EQ(driver.absorb(part, offset), std::vector<std::size_t>{});
+  EXPECT_EQ(offset, bytes.size());
+  EXPECT_EQ(slurp(options.store_path), store_after);
+
+  // The steps built the store one whole-part absorb builds, and export the
+  // same bytes.
+  const auto whole_options = telemetry_options("whole", kPoints, kReps);
+  Aggregator whole{AggregatorOptions(whole_options)};
+  whole.load_existing();
+  EXPECT_EQ(absorb_whole(whole, finished).size(), kPoints);
+  EXPECT_EQ(slurp(whole_options.store_path), store_after);
+  driver.finalize({"{\"kind\":\"registry\"}"});
+  whole.finalize({"{\"kind\":\"registry\"}"});
+  expect_same_artifacts("driver", "whole");
+  expect_same_artifacts("driver", "clean");
+}
+
 // A kill between the driver's flush and the part's deletion leaves the part
 // behind; the next resume absorbs it again, and that must change nothing.
 TEST_F(StoreAggregateTest, AbsorbingThePartAgainChangesNothing) {
@@ -593,12 +677,12 @@ TEST_F(StoreAggregateTest, AbsorbingThePartAgainChangesNothing) {
   {
     Aggregator driver{AggregatorOptions(options)};
     driver.load_existing();
-    EXPECT_EQ(driver.absorb(part).size(), 2U);
+    EXPECT_EQ(absorb_whole(driver, part).size(), 2U);
   }
   const std::string store = slurp(options.store_path);
   Aggregator resumed{AggregatorOptions(options)};
   EXPECT_EQ(resumed.load_existing(), 2U);
-  EXPECT_EQ(resumed.absorb(part), std::vector<std::size_t>{});
+  EXPECT_EQ(absorb_whole(resumed, part), std::vector<std::size_t>{});
   EXPECT_EQ(slurp(options.store_path), store);
   EXPECT_EQ(resumed.pending(), (std::vector<std::size_t>{1}));
 }
@@ -608,7 +692,7 @@ TEST_F(StoreAggregateTest, AbsorbRejectsAPartOfAnotherCampaign) {
   // Same columns, one more grid point: a different identity hash.
   Aggregator driver{telemetry_options("driver", 4, 2)};
   driver.load_existing();
-  EXPECT_THROW((void)driver.absorb(part), std::runtime_error);
+  EXPECT_THROW((void)absorb_whole(driver, part), std::runtime_error);
   EXPECT_EQ(driver.done_count(), 0U);
 }
 
@@ -617,7 +701,7 @@ TEST_F(StoreAggregateTest, AbsorbRefusesRowsTheDriverWouldDrop) {
   auto options = store_options("driver", 2, 2, 0);  // no --metrics
   Aggregator driver{std::move(options)};
   driver.load_existing();
-  EXPECT_THROW((void)driver.absorb(part), std::runtime_error);
+  EXPECT_THROW((void)absorb_whole(driver, part), std::runtime_error);
 }
 
 // A resume without the flag that wrote some of the store's rows would

@@ -160,6 +160,48 @@ TEST_F(ShardTest, ShardsPartitionTheGridByIndexModulo) {
   EXPECT_EQ(expected, 6U);
 }
 
+// More shards than points: a shard whose index is past the grid owns no
+// point. It computes nothing and writes header-only artifacts (its
+// telemetry file holds only the registry trailer), and a merge of every
+// shard is still the unsharded run.
+TEST_F(ShardTest, ShardBeyondTheGridOwnsNoPoint) {
+  const Manifest m = small_manifest();  // 6 points
+  run_full(m, path("full.jsonl"));
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::string s = "s" + std::to_string(i);
+    inputs.insert(inputs.end(), {s + ".csv", s + "_runs.csv", s + ".jsonl"});
+    const auto report =
+        run_shard(m, i, 8, path((s + ".csv").c_str()),
+                  path((s + "_runs.csv").c_str()), false,
+                  path((s + ".jsonl").c_str()));
+    EXPECT_EQ(report.owned_points, i < 6 ? 1U : 0U) << s;
+    EXPECT_EQ(report.computed, i < 6 ? 1U : 0U) << s;
+  }
+  const auto header = [&](const char* file) {
+    std::ifstream in(path(file));
+    std::string line;
+    std::getline(in, line);
+    return line + '\n';
+  };
+  EXPECT_EQ(slurp(path("s7.csv")), header("full.csv"));
+  EXPECT_EQ(slurp(path("s7_runs.csv")), header("full_runs.csv"));
+  const std::string trailer = slurp(path("s7.jsonl"));
+  EXPECT_EQ(std::count(trailer.begin(), trailer.end(), '\n'), 1) << trailer;
+  EXPECT_EQ(parse_point_row(header("s7.jsonl"), 0), SIZE_MAX) << trailer;
+
+  EXPECT_EQ(merge(m, inputs, /*per_run=*/true, /*metrics=*/true), 6U);
+  EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+  EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
+  // The merged telemetry is the serial run's point rows (no trailer).
+  std::string serial_rows;
+  std::ifstream in(path("full.jsonl"));
+  for (std::string line; std::getline(in, line);) {
+    if (parse_point_row(line, 0) != SIZE_MAX) serial_rows += line + '\n';
+  }
+  EXPECT_EQ(slurp(path("merged.jsonl")), serial_rows);
+}
+
 TEST_F(ShardTest, MergedShardsAreByteIdenticalToUnshardedRun) {
   const Manifest m = small_manifest();
   run_full(m);

@@ -177,7 +177,7 @@ TEST_F(TelemetryTest, ResumeImportDropsGarbageAndForeignRows) {
   {
     Aggregator aggregator(options);
     aggregator.load_existing();
-    for (const std::size_t p : options.owned_points) {
+    for (const std::size_t p : *options.owned_points) {
       record_point(aggregator, m, points[p], p + 1);
     }
     aggregator.finalize();

@@ -252,6 +252,64 @@ TEST(Network, LossyChannelDropsStatistically) {
             1000U - static_cast<unsigned>(received));
 }
 
+/// Node j is i's neighbor when j != i and their squared distance is at
+/// most range² (the rule world::is_connected applies), in ascending order.
+std::vector<std::vector<std::uint32_t>> brute_force_neighbors(
+    const std::vector<geom::Vec2>& positions, double range) {
+  std::vector<std::vector<std::uint32_t>> out(positions.size());
+  for (std::uint32_t i = 0; i < positions.size(); ++i) {
+    for (std::uint32_t j = 0; j < positions.size(); ++j) {
+      const double dx = positions[i].x - positions[j].x;
+      const double dy = positions[i].y - positions[j].y;
+      if (j != i && dx * dx + dy * dy <= range * range) out[i].push_back(j);
+    }
+  }
+  return out;
+}
+
+// Seeded random layouts of 1 to 50 nodes (the largest count a test or a
+// shipped manifest uses), sparse to dense, through one kept-warm Network:
+// every neighbor list equals the brute-force reference.
+TEST(Network, NeighborListsMatchABruteForceReference) {
+  sim::Simulator simulator;
+  const sim::SeedSequence seeds(5);
+  const auto channel = std::make_shared<PerfectChannel>();
+  Network network(simulator, {{0.0, 0.0}}, RadioConfig{}, channel, seeds);
+  sim::Pcg32 rng(11, 3);
+  for (std::size_t n = 1; n <= 50; ++n) {
+    for (const double region : {20.0, 40.0, 80.0}) {
+      std::vector<geom::Vec2> positions(n);
+      for (auto& p : positions) {
+        p = {rng.uniform(0.0, region), rng.uniform(0.0, region)};
+      }
+      RadioConfig config;
+      config.range_m = rng.uniform(5.0, 20.0);
+      network.reset(positions, config, channel, seeds);
+      const auto want = brute_force_neighbors(positions, config.range_m);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        ASSERT_EQ(network.neighbors_of(i), want[i])
+            << n << " nodes in " << region << " m, node " << i;
+      }
+    }
+  }
+}
+
+// A node exactly range_m away is in range; one a hair further is not.
+TEST(Network, NodeExactlyAtRangeIsANeighbor) {
+  sim::Simulator simulator;
+  const sim::SeedSequence seeds(5);
+  RadioConfig config;
+  config.range_m = 10.0;
+  const std::vector<geom::Vec2> positions{
+      {0.0, 0.0}, {10.0, 0.0}, {6.0, 8.0}, {0.0, -10.000001}};
+  Network network(simulator, positions, config,
+                  std::make_shared<PerfectChannel>(), seeds);
+  EXPECT_EQ(network.neighbors_of(0), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(network.neighbors_of(3), std::vector<std::uint32_t>{});
+  EXPECT_EQ(brute_force_neighbors(positions, 10.0)[0],
+            network.neighbors_of(0));
+}
+
 TEST(Network, ValidationErrors) {
   sim::Simulator simulator;
   const sim::SeedSequence seeds(1);

@@ -261,6 +261,22 @@ TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
   expect_merged_identical("out.csv", "runs.csv");
 }
 
+// The driver absorbs a part after every lease_done, so a crash later in
+// the worker's life leaves only the batches since its last lease for crash
+// recovery, which absorbs them from that nonzero offset. Worker 0 finishes
+// two one-point leases and dies right after reporting the third point.
+TEST_F(SupervisorTest, CrashAfterAnIncrementalAbsorbMatchesSerial) {
+  ::setenv("PAS_ORCH_TEST_CRASH", "0:3", 1);
+  auto o = options(1, "out.csv", "runs.csv");
+  o.max_lease = 1;
+  const auto report = drive(manifest_, o);
+  EXPECT_EQ(report.crashes, 1U);
+  EXPECT_EQ(report.respawns, 1U);
+  EXPECT_EQ(report.computed, 6U);
+  EXPECT_EQ(report.merged_rows, 6U);
+  expect_merged_identical("out.csv", "runs.csv");
+}
+
 // Crash-race aftermath: two worker part stores left by a killed drive both
 // hold the same point (a worker wrote it, died unreported, and the point
 // was reassigned). Resume absorbs the first copy, skips the second, and
