@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "energy/energy_meter.hpp"
 #include "exp/aggregate.hpp"
 #include "geom/aabb.hpp"
 #include "io/json.hpp"
@@ -474,6 +475,49 @@ void BM_Aggregator_Finalize(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_Aggregator_Finalize)->Unit(benchmark::kMillisecond);
+
+// Table 1's power numbers are priced by these energy-meter hot paths in
+// every simulation (ungated: no baseline entry).
+using pas::energy::EnergyMeter;
+using pas::energy::PowerMode;
+using pas::energy::PowerProfile;
+
+void BM_EnergyMeter_SetMode(benchmark::State& state) {
+  constexpr PowerProfile profile = PowerProfile::telos();
+  EnergyMeter meter(profile, 0.0, PowerMode::kActive);
+  double t = 0.0;
+  PowerMode mode = PowerMode::kSleep;
+  for (auto _ : state) {
+    t += 0.5;
+    meter.set_mode(mode, t);
+    mode = mode == PowerMode::kSleep ? PowerMode::kActive : PowerMode::kSleep;
+  }
+  benchmark::DoNotOptimize(meter.total_j(t));
+}
+BENCHMARK(BM_EnergyMeter_SetMode);
+
+void BM_EnergyMeter_AddTx(benchmark::State& state) {
+  constexpr PowerProfile profile = PowerProfile::telos();
+  EnergyMeter meter(profile, 0.0, PowerMode::kActive);
+  for (auto _ : state) {
+    meter.add_tx(296);  // RESPONSE-sized packet
+  }
+  benchmark::DoNotOptimize(meter.tx_j());
+}
+BENCHMARK(BM_EnergyMeter_AddTx);
+
+void BM_EnergyMeter_TotalQuery(benchmark::State& state) {
+  constexpr PowerProfile profile = PowerProfile::telos();
+  EnergyMeter meter(profile, 0.0, PowerMode::kActive);
+  meter.set_mode(PowerMode::kSleep, 10.0);
+  meter.add_tx(96);
+  double t = 10.0;
+  for (auto _ : state) {
+    t += 0.001;
+    benchmark::DoNotOptimize(meter.total_j(t));
+  }
+}
+BENCHMARK(BM_EnergyMeter_TotalQuery);
 
 void BM_Pcg32_Uniform(benchmark::State& state) {
   pas::sim::Pcg32 rng(42, 1);

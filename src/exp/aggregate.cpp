@@ -201,7 +201,7 @@ Aggregator::Aggregator(AggregatorOptions options)
   }
   if (!store_path_.empty() && csv_path_.empty()) {
     // The store exists to back a CSV artifact; in-memory aggregation
-    // (benches, unit tests) has nothing to export.
+    // (examples, unit tests) has nothing to export.
     throw std::logic_error(
         "Aggregator: a row-store path requires a summary CSV path");
   }

@@ -25,7 +25,7 @@
 // The import checks each row's identity, holds only O(grid) bitmaps, and
 // the export sorts, so the inputs may list their rows in any order.
 //
-// Without a CSV path (benches, examples, unit tests) nothing is written:
+// Without a CSV path (examples, unit tests) nothing is written:
 // the aggregator only tracks completion and keeps the point summaries.
 //
 // Sharding: a campaign may be split across processes/machines with
@@ -72,7 +72,7 @@ struct PointSummary {
 };
 
 struct AggregatorOptions {
-  /// CSV output path; empty aggregates in memory only (benches, tests).
+  /// CSV output path; empty aggregates in memory only (examples, tests).
   std::string csv_path;
   /// Optional per-replication CSV (one row per run); requires
   /// `replications` so resume can tell complete groups from torn ones.

@@ -41,7 +41,7 @@ struct CampaignOptions {
   /// Load `out_csv` (if present) and skip points that already have rows.
   /// Without this flag an existing output file is an error, not data loss.
   bool resume = false;
-  /// CSV output path; empty aggregates in memory only (benches, tests).
+  /// CSV output path; empty aggregates in memory only (examples, tests).
   std::string out_csv;
   /// Optional per-replication CSV (one row per run) for p95/p99 reporting.
   std::string per_run_csv;

@@ -1,6 +1,6 @@
 // Minimal CSV writer for experiment output.
 //
-// Benches and examples dump per-run records so results can be re-plotted
+// Examples dump per-run records so results can be re-plotted
 // offline. Quoting follows RFC 4180 (quote when a field contains comma,
 // quote, or newline; double embedded quotes).
 #pragma once

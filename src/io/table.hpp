@@ -1,7 +1,7 @@
 // Fixed-width ASCII table printer.
 //
-// Benches print the paper's tables/figure series in aligned columns so the
-// terminal output can be compared against the paper at a glance.
+// Examples print their result tables in aligned columns so the terminal
+// output can be compared against the paper at a glance.
 #pragma once
 
 #include <ostream>

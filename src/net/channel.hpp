@@ -2,7 +2,7 @@
 //
 // The paper's evaluation assumes a perfect channel and names "imperfect
 // communication channel" as future work; we ship three models so the
-// robustness ablation (bench A2) can exercise that future work:
+// robustness ablation (examples/paper/robustness.json) can exercise that future work:
 //   * PerfectChannel       — every in-range packet arrives.
 //   * BernoulliLossChannel — i.i.d. loss with probability p.
 //   * GilbertElliottChannel— two-state bursty loss (good/bad link states).

@@ -5,7 +5,8 @@
 // time" — i.e. linear is one choice of a family). SleepSchedule implements
 // the family: linear ramps (the paper's default, Δt per uneventful wake),
 // exponential ramps (double each time, reaching the maximum much sooner),
-// and fixed intervals (no ramp). bench_ablation_ramp compares them.
+// and fixed intervals (no ramp). examples/paper/sleep_ramp.json compares
+// them.
 #pragma once
 
 #include <cassert>

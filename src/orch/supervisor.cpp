@@ -679,7 +679,7 @@ DriveReport Driver::run() {
                              options_.exe_path);
   }
   if (options_.out_csv.empty()) {
-    // Unlike run_campaign (which aggregates in memory for benches), a
+    // Unlike run_campaign (which aggregates in memory for examples and tests), a
     // drive records through part row stores, which need an output path.
     throw std::invalid_argument("drive: out_csv must not be empty");
   }

@@ -3,10 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
-
-#include "geom/grid_index.hpp"
 
 namespace pas::world {
 
@@ -134,11 +131,11 @@ bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
   if (!(range > 0.0)) {
     throw std::invalid_argument("is_connected: range must be > 0");
   }
+  const double r2 = range * range;
   if (n <= 64) {
     // One adjacency mask per node, filled branch-free over all pairs, then
-    // a breadth-first search over the masks: several times faster than
-    // the grid index on the paper's 30 nodes, and nothing to allocate.
-    const double r2 = range * range;
+    // a breadth-first search over the masks: nothing to allocate on the
+    // paper's 30 nodes.
     std::array<std::uint64_t, 64> adjacent{};
     for (std::size_t i = 0; i < n; ++i) {
       std::uint64_t mask = 0;
@@ -160,29 +157,22 @@ bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
     }
     return reached == (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1);
   }
-  geom::Aabb bounds{positions.front(), positions.front()};
-  for (const auto& p : positions) {
-    bounds.lo.x = std::min(bounds.lo.x, p.x);
-    bounds.lo.y = std::min(bounds.lo.y, p.y);
-    bounds.hi.x = std::max(bounds.hi.x, p.x);
-    bounds.hi.y = std::max(bounds.hi.y, p.y);
-  }
-  const geom::GridIndex index(positions, bounds.inflated(1.0), range);
+  // Larger layouts: the same search, testing all pairs from each node it
+  // reaches.
   std::vector<char> seen(n, 0);
-  std::queue<std::uint32_t> frontier;
-  frontier.push(0);
+  std::vector<std::size_t> frontier{0};
   seen[0] = 1;
   std::size_t visited = 1;
   while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.front();
-    frontier.pop();
-    index.for_each_in_radius(positions[cur], range, [&](std::uint32_t next) {
-      if (seen[next] == 0) {
+    const std::size_t cur = frontier.back();
+    frontier.pop_back();
+    for (std::size_t next = 0; next < n; ++next) {
+      if (seen[next] == 0 && geom::distance2(positions[cur], positions[next]) <= r2) {
         seen[next] = 1;
         ++visited;
-        frontier.push(next);
+        frontier.push_back(next);
       }
-    });
+    }
   }
   return visited == n;
 }

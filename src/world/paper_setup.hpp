@@ -4,8 +4,9 @@
 // The paper does not publish the field size or front speed; we fix a
 // 40 m × 40 m region with the stimulus released near one corner and an
 // anisotropic front of ~0.5 m/s mean speed, which reaches the far corner
-// well inside the simulated 150 s. Every bench and integration test builds
-// on this so the figures share one world.
+// well inside the simulated 150 s. The tests and examples build on this, and
+// examples/paper/*.json spell its radial variant out in JSON, so the figures
+// share one world.
 #pragma once
 
 #include <cstdint>
